@@ -2,19 +2,28 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/logging.hpp"
 #include "obs/profiler.hpp"
-#include "simcore/lane_set.hpp"
 
 namespace flexmr::mr {
 
 namespace {
 constexpr TaskId kReduceIdBase = 1'000'000;
-/// Below this many live tasks the snapshot fan-out costs more than the
-/// scan; matches the lane drain threshold (ShardState::kParallelDrainMin).
-constexpr std::size_t kParallelSnapshotMin = 2048;
+
+/// Relabels the latest map record of `task` in `tasks` as kLostOutput with
+/// no credited BUs: its work no longer counts.
+void relabel_lost_output(std::span<TaskRecord> tasks, TaskId task) {
+  for (auto it = tasks.rbegin(); it != tasks.rend(); ++it) {
+    if (it->id == task && it->kind == TaskKind::kMap) {
+      it->status = TaskStatus::kLostOutput;
+      it->num_bus = 0;
+      return;
+    }
+  }
 }
+}  // namespace
 
 JobDriver::JobDriver(Simulator& sim, cluster::Cluster& cluster,
                      const hdfs::FileLayout& layout, JobSpec job,
@@ -366,15 +375,11 @@ void JobDriver::dispatch_map(NodeId node, MapLaunch launch) {
     // the container never comes up. The task freezes in kStarting until
     // heartbeat expiry declares the node lost and reclaims its work.
   } else if (task->planned_fault == PlannedFault::kLaunchFail) {
-    // Container/JVM timers are node-owned: on the sharded engine they live
-    // on the node's lane (a placement hint only — fire order is global).
-    task->pending_event = sim_->schedule_on_after(
-        sim_->lane_for_node(node), params_.container_alloc_s,
-        [this, id]() { map_attempt_fail(id); });
+    task->pending_event = sim_->schedule_after(
+        params_.container_alloc_s, [this, id]() { map_attempt_fail(id); });
   } else {
-    task->pending_event =
-        sim_->schedule_on_after(sim_->lane_for_node(node), startup,
-                                [this, id]() { map_compute_start(id); });
+    task->pending_event = sim_->schedule_after(
+        startup, [this, id]() { map_compute_start(id); });
   }
 
   ++running_map_count_;
@@ -411,8 +416,7 @@ void JobDriver::map_compute_start(TaskId id) {
     const SimTime fail_at =
         sim_->now() + task.fail_frac * (*eta - sim_->now());
     task.pending_event =
-        sim_->schedule_on(sim_->lane_for_node(task.node), fail_at,
-                          [this, id]() { map_attempt_fail(id); });
+        sim_->schedule_at(fail_at, [this, id]() { map_attempt_fail(id); });
     return;
   }
   reschedule_map_completion(task);
@@ -427,8 +431,7 @@ void JobDriver::reschedule_map_completion(MapTask& task) {
   FLEXMR_ASSERT_MSG(eta.has_value(), "map task stalled at zero rate");
   const TaskId id = task.id;
   task.pending_event =
-      sim_->schedule_on(sim_->lane_for_node(task.node), *eta,
-                        [this, id]() { map_complete(id); });
+      sim_->schedule_at(*eta, [this, id]() { map_complete(id); });
 }
 
 void JobDriver::record_map(const MapTask& task, TaskStatus status,
@@ -470,7 +473,7 @@ void JobDriver::map_complete(TaskId id) {
   // Commit point: the credited BU set is durable from here — an AM crash
   // after this append replays the map instead of re-running it.
   if (journal_ != nullptr) {
-    journal_->record_map_commit(id, node, task.bus, task.size);
+    journal_->record_map_commit(id, am_attempt_, node, task.bus, task.size);
   }
   record_map(task, TaskStatus::kCompleted, task.size,
              static_cast<std::uint32_t>(task.bus.size()));
@@ -610,7 +613,7 @@ std::vector<BlockUnitId> JobDriver::reclaim_map(TaskId id,
   // Partial-credit commit point: the kept prefix is durable (the journal
   // stores the exact BU set, so replay re-credits precisely these units).
   if (journal_ != nullptr && kept > 0) {
-    journal_->record_map_commit(id, node, task.bus, acc);
+    journal_->record_map_commit(id, am_attempt_, node, task.bus, acc);
   }
   record_map(task, kept > 0 ? TaskStatus::kPartialCompleted
                             : TaskStatus::kKilled,
@@ -770,13 +773,11 @@ bool JobDriver::dispatch_reduce(NodeId node) {
   if (injector_ && !injector_->responsive(node)) {
     // Container on a silently-dead node: frozen until detection.
   } else if (task.planned_fault == PlannedFault::kLaunchFail) {
-    task.pending_event = sim_->schedule_on_after(
-        sim_->lane_for_node(node), params_.container_alloc_s,
-        [this, idx]() { reduce_attempt_fail(idx); });
+    task.pending_event = sim_->schedule_after(
+        params_.container_alloc_s, [this, idx]() { reduce_attempt_fail(idx); });
   } else {
-    task.pending_event = sim_->schedule_on_after(
-        sim_->lane_for_node(node), startup,
-        [this, idx]() { reduce_fetch_start(idx); });
+    task.pending_event = sim_->schedule_after(
+        startup, [this, idx]() { reduce_fetch_start(idx); });
   }
   if (tracer_ != nullptr) {
     tracer_->task_begin(obs::node_pid(node), ttok(task.id),
@@ -826,9 +827,8 @@ void JobDriver::reduce_fetch_start(std::size_t idx) {
          {"failed_sources",
           static_cast<std::uint64_t>(task.failed_fetch_sources.size())}});
   }
-  task.pending_event = sim_->schedule_on_after(
-      sim_->lane_for_node(task.node), fetch,
-      [this, idx]() { reduce_fetch_done(idx); });
+  task.pending_event =
+      sim_->schedule_after(fetch, [this, idx]() { reduce_fetch_done(idx); });
 }
 
 void JobDriver::reduce_fetch_done(std::size_t idx) {
@@ -864,9 +864,8 @@ void JobDriver::handle_fetch_failure(std::size_t idx) {
   // (or aborted the job): the retry loop dies with it, and a later
   // redispatch restarts the whole fetch.
   if (done_ || task.phase != TaskPhase::kFetching) return;
-  task.pending_event = sim_->schedule_on_after(
-      sim_->lane_for_node(task.node), backoff,
-      [this, idx]() { retry_fetch(idx); });
+  task.pending_event =
+      sim_->schedule_after(backoff, [this, idx]() { retry_fetch(idx); });
 }
 
 void JobDriver::retry_fetch(std::size_t idx) {
@@ -977,14 +976,12 @@ void JobDriver::reduce_compute_start(std::size_t idx) {
   if (task.planned_fault == PlannedFault::kAttemptFail) {
     const SimTime fail_at =
         sim_->now() + task.fail_frac * (*eta - sim_->now());
-    task.pending_event = sim_->schedule_on(
-        sim_->lane_for_node(task.node), fail_at,
-        [this, idx]() { reduce_attempt_fail(idx); });
+    task.pending_event = sim_->schedule_at(
+        fail_at, [this, idx]() { reduce_attempt_fail(idx); });
     return;
   }
   task.pending_event =
-      sim_->schedule_on(sim_->lane_for_node(task.node), *eta,
-                        [this, idx]() { reduce_complete(idx); });
+      sim_->schedule_at(*eta, [this, idx]() { reduce_complete(idx); });
 }
 
 void JobDriver::reduce_complete(std::size_t idx) {
@@ -1300,18 +1297,27 @@ void JobDriver::adopt_recovery(AmRecoveryBaton baton) {
 void JobDriver::restore_from_journal() {
   const recover::RecoveredState& rec = *recovered_;
 
-  // Replicas grown beyond the static layout by earlier attempts' re-
-  // replication join the fresh index first (before any dead node is
-  // deactivated, so a later rejoin's recount sees them too, and before
-  // any BU is taken).
+  // The fresh index starts from the static layout. Replicas grown beyond
+  // it by earlier attempts' repairs join first, and copies destroyed by
+  // disk faults leave it (before any dead node is deactivated, so a later
+  // rejoin's recount sees the result, and before any BU is taken).
   if (replica_mgr_) {
     for (std::uint32_t b = 0;
          b < static_cast<std::uint32_t>(layout_->blocks.size()); ++b) {
       const hdfs::Block& block = layout_->blocks[b];
-      for (const NodeId holder : replica_mgr_->remembered_holders(b)) {
+      const auto& remembered = replica_mgr_->remembered_holders(b);
+      for (const NodeId holder : remembered) {
         if (std::find(block.replicas.begin(), block.replicas.end(),
                       holder) == block.replicas.end()) {
           index_.add_replica(block, holder);
+        }
+      }
+      // Layout holders whose disk a fault destroyed hold nothing now; a
+      // later repair onto one must re-arm it, not add a duplicate.
+      for (const NodeId holder : block.replicas) {
+        if (std::find(remembered.begin(), remembered.end(), holder) ==
+            remembered.end()) {
+          index_.drop_replica(block, holder);
         }
       }
     }
@@ -1626,13 +1632,13 @@ void JobDriver::lose_map_output(MapTask& task,
   intermediate_on_node_[task.node] =
       std::max(0.0, intermediate_on_node_[task.node] -
                         task.size * job_.shuffle_ratio);
-  // Re-label the task's record: its work no longer counts.
-  for (auto it = result_.tasks.rbegin(); it != result_.tasks.rend(); ++it) {
-    if (it->id == task.id && it->kind == TaskKind::kMap) {
-      it->status = TaskStatus::kLostOutput;
-      it->num_bus = 0;
-      break;
-    }
+  // Re-label the task's record: its work no longer counts. A map replayed
+  // from the journal has its record in the attempt that ran it, so the
+  // attempt merge relabels that one (lost_replayed_maps).
+  if (recovered_ && task.id < recovered_->committed_maps.size()) {
+    lost_replayed_maps_.push_back(recovered_->committed_maps[task.id].origin);
+  } else {
+    relabel_lost_output(result_.tasks, task.id);
   }
   task.bus.clear();
 }
@@ -2017,24 +2023,19 @@ void JobDriver::on_speed_change(NodeId node) {
     const auto eta = task.integrator->eta(sim_->now());
     FLEXMR_ASSERT(eta.has_value());
     task.pending_event =
-        sim_->schedule_on(sim_->lane_for_node(task.node), *eta,
-                          [this, idx]() { reduce_complete(idx); });
+        sim_->schedule_at(*eta, [this, idx]() { reduce_complete(idx); });
   }
 }
 
 std::vector<RunningMapInfo> JobDriver::running_maps() const {
   FLEXMR_PROF_SCOPE("mr/running_maps");
-  // The hottest driver scan (the schedulers call this every offer and
-  // every straggler probe). Each element is pure per-task computation —
-  // RateIntegrator::done(now) is const and touches only that task — so
-  // the sharded engine may build the snapshot in chunks on the lane
-  // workers. Chunks are concatenated in chunk order, which is element
-  // order, so the result (and every FP byte in it) is identical to the
-  // serial build; see DESIGN.md §13.4 for what makes a kernel chunkable.
-  const auto snapshot = [&](const TaskId id,
-                            std::vector<RunningMapInfo>& out) {
+  // The hottest driver scan: the schedulers call this every offer and
+  // every straggler probe.
+  std::vector<RunningMapInfo> out;
+  out.reserve(live_map_ids_.size());
+  for (const TaskId id : live_map_ids_) {
     const MapTask& task = *map_tasks_[id];
-    if (task.phase == TaskPhase::kDone) return;
+    if (task.phase == TaskPhase::kDone) continue;
     RunningMapInfo info;
     info.id = task.id;
     info.node = task.node;
@@ -2047,31 +2048,7 @@ std::vector<RunningMapInfo> JobDriver::running_maps() const {
     info.speculative = task.speculative;
     info.has_twin = task.twin != kInvalidTask;
     out.push_back(info);
-  };
-  LaneSet* lanes = sim_->lane_set();
-  if (lanes != nullptr && lanes->workers() > 0 &&
-      live_map_ids_.size() >= kParallelSnapshotMin) {
-    const std::size_t max_chunks = lanes->workers() + 1;
-    std::vector<std::vector<RunningMapInfo>> parts(max_chunks);
-    lanes->run_chunked(
-        live_map_ids_.size(), kParallelSnapshotMin,
-        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          auto& part = parts[chunk];
-          part.reserve(end - begin);
-          for (std::size_t i = begin; i < end; ++i) {
-            snapshot(live_map_ids_[i], part);
-          }
-        });
-    std::vector<RunningMapInfo> out;
-    out.reserve(live_map_ids_.size());
-    for (auto& part : parts) {
-      out.insert(out.end(), part.begin(), part.end());
-    }
-    return out;
   }
-  std::vector<RunningMapInfo> out;
-  out.reserve(live_map_ids_.size());
-  for (const TaskId id : live_map_ids_) snapshot(id, out);
   return out;
 }
 
@@ -2265,46 +2242,57 @@ void JobDriver::trace_finish() {
                         {{"status", "unfinished"}});
     }
   }
-  // Sharded engine: one counter row per event lane (ascending lane order,
-  // control lane last) so a trace shows how the window drain spread over
-  // the lanes. Classic engine emits nothing here.
-  if (sim_->node_lanes() > 0) {
-    const auto drained = sim_->lane_drained();
-    for (std::size_t lane = 0; lane < drained.size(); ++lane) {
-      const std::string name =
-          lane == drained.size() - 1 ? "lane_drained/control"
-                                     : "lane_drained/" + std::to_string(lane);
-      tracer_->counter(trace_ns_.job_pid, name, sim_->now(),
-                       static_cast<double>(drained[lane]));
-    }
-    // When a self-profiler is active, mirror its lane-imbalance summary
-    // into the trace so profiles and traces stay cross-navigable: host-ns
-    // busy time per lane plus the max/mean busy ratio. Same naming scheme
-    // as lane_drained, control lane last.
-    if (const obs::Profiler* prof = obs::Profiler::active()) {
-      const auto& lanes = prof->lanes();
-      std::uint64_t max_busy = 0;
-      std::uint64_t sum_busy = 0;
-      for (std::size_t lane = 0; lane < lanes.size(); ++lane) {
-        const std::string name =
-            lane == lanes.size() - 1
-                ? "lane_busy_host_ns/control"
-                : "lane_busy_host_ns/" + std::to_string(lane);
-        tracer_->counter(trace_ns_.job_pid, name, sim_->now(),
-                         static_cast<double>(lanes[lane].busy_ns));
-        max_busy = std::max(max_busy, lanes[lane].busy_ns);
-        sum_busy += lanes[lane].busy_ns;
-      }
-      if (!lanes.empty() && sum_busy > 0) {
-        const double mean = static_cast<double>(sum_busy) /
-                            static_cast<double>(lanes.size());
-        tracer_->counter(trace_ns_.job_pid, "lane_imbalance_max_over_mean",
-                         sim_->now(), static_cast<double>(max_busy) / mean);
-      }
-    }
-  }
   trace_end_phase();
   trace_->metrics().sample_now(sim_->now());
+}
+
+JobResult merge_am_attempts(const std::vector<const JobDriver*>& attempts,
+                            const std::vector<AmAttemptRecord>& records) {
+  FLEXMR_ASSERT(!attempts.empty());
+  JobResult merged = attempts.back()->result();
+  if (attempts.size() > 1) {
+    // Attempts are disjoint in time and internally chronological, so
+    // concatenation preserves order. `begin[i]` is where attempt i+1's
+    // task records start in the merged list.
+    std::vector<TaskRecord> tasks;
+    std::vector<faults::FaultEvent> events;
+    std::vector<std::size_t> begin;
+    for (const JobDriver* attempt : attempts) {
+      const JobResult& r = attempt->result();
+      begin.push_back(tasks.size());
+      tasks.insert(tasks.end(), r.tasks.begin(), r.tasks.end());
+      events.insert(events.end(), r.fault_events.begin(),
+                    r.fault_events.end());
+    }
+    begin.push_back(tasks.size());
+    for (const JobDriver* attempt : attempts) {
+      for (const recover::MapOrigin& origin : attempt->lost_replayed_maps()) {
+        FLEXMR_ASSERT(origin.attempt >= 1 && origin.attempt < begin.size());
+        const std::size_t from = begin[origin.attempt - 1];
+        relabel_lost_output(
+            std::span(tasks).subspan(from, begin[origin.attempt] - from),
+            origin.task);
+      }
+    }
+    merged.tasks = std::move(tasks);
+    merged.fault_events = std::move(events);
+    // The job began when attempt 1 did; AM downtime counts against JCT.
+    const JobResult& first = attempts.front()->result();
+    merged.submit_time = first.submit_time;
+    merged.map_phase_start = first.map_phase_start;
+    for (const JobDriver* attempt : attempts) {
+      merged.map_phase_end =
+          std::max(merged.map_phase_end, attempt->result().map_phase_end);
+    }
+  }
+  merged.am_attempts = records;
+  merged.redone_work_mib = 0;
+  merged.redone_work_units = 0;
+  for (const AmAttemptRecord& rec : records) {
+    merged.redone_work_mib += rec.wasted_mib;
+    merged.redone_work_units += rec.wasted_units;
+  }
+  return merged;
 }
 
 }  // namespace flexmr::mr

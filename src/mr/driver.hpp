@@ -191,6 +191,13 @@ class JobDriver final : public DriverContext {
   /// only (the successor allocates from the surviving RM).
   void adopt_recovery(AmRecoveryBaton baton);
 
+  /// Origins of journal-replayed maps whose output this attempt lost: their
+  /// task records live in earlier attempts, which merge_am_attempts
+  /// relabels kLostOutput.
+  const std::vector<recover::MapOrigin>& lost_replayed_maps() const {
+    return lost_replayed_maps_;
+  }
+
   /// The RM this driver allocates from; the recovery runner re-points a
   /// surviving single-job RM's offer handler at each new attempt.
   yarn::ResourceManager& resource_manager() { return rm_; }
@@ -222,7 +229,6 @@ class JobDriver final : public DriverContext {
   std::uint32_t total_free_slots() const override { return rm_.total_free(); }
   std::uint32_t total_slots() const override { return rm_.total_slots(); }
   std::vector<RunningMapInfo> running_maps() const override;
-  LaneSet* lane_set() const override { return sim_->lane_set(); }
   std::optional<MiBps> observed_ips(NodeId node) const override;
   double map_phase_progress() const override;
   std::size_t total_bus() const override { return layout_->bus.size(); }
@@ -500,6 +506,7 @@ class JobDriver final : public DriverContext {
   recover::JobJournal* journal_ = nullptr;
   std::uint32_t am_attempt_ = 1;
   std::optional<recover::RecoveredState> recovered_;
+  std::vector<recover::MapOrigin> lost_replayed_maps_;
   bool am_crashed_ = false;
 
   /// Opt-in observability (null unless set_trace was called). tracer_
@@ -526,5 +533,14 @@ class JobDriver final : public DriverContext {
 
   JobResult result_;
 };
+
+/// Stitches one job's AM attempts (oldest first; back() is the live or
+/// last one) into a single result: the last attempt's result with every
+/// attempt's task records and fault events in order, attempt 1's submit
+/// and map-phase start, the attempt records and their redone work. A map
+/// a successor replayed and then lost is relabeled in the attempt that
+/// ran it, so every BU stays credited exactly once.
+JobResult merge_am_attempts(const std::vector<const JobDriver*>& attempts,
+                            const std::vector<AmAttemptRecord>& records);
 
 }  // namespace flexmr::mr

@@ -273,9 +273,13 @@ void MultiJobCoordinator::restart_am(std::size_t j) {
 
 JobResult MultiJobCoordinator::result(std::size_t job) const {
   const Entry& entry = jobs_[job];
-  JobResult merged = entry.driver->result();
-  if (entry.retired.empty() && !entry.am_aborted) return merged;
-
+  if (entry.retired.empty() && !entry.am_aborted) {
+    return entry.driver->result();
+  }
+  std::vector<const JobDriver*> attempts;
+  for (const auto& old : entry.retired) attempts.push_back(old.get());
+  attempts.push_back(entry.driver.get());
+  JobResult merged = merge_am_attempts(attempts, entry.attempt_records);
   if (entry.am_aborted) {
     // crash_am leaves no abort record; the coordinator declared the job
     // dead when the attempt budget ran out.
@@ -285,38 +289,6 @@ JobResult MultiJobCoordinator::result(std::size_t job) const {
         std::to_string(entry.driver->am_attempt()) + " of " +
         std::to_string(am_recovery_.max_attempts) +
         " (am_max_attempts exhausted)";
-  }
-  if (!entry.retired.empty()) {
-    // Attempts are disjoint in time and internally chronological, so
-    // concatenation preserves order.
-    std::vector<TaskRecord> tasks;
-    std::vector<faults::FaultEvent> events;
-    for (const auto& old : entry.retired) {
-      const JobResult& r = old->result();
-      tasks.insert(tasks.end(), r.tasks.begin(), r.tasks.end());
-      events.insert(events.end(), r.fault_events.begin(),
-                    r.fault_events.end());
-    }
-    tasks.insert(tasks.end(), merged.tasks.begin(), merged.tasks.end());
-    events.insert(events.end(), merged.fault_events.begin(),
-                  merged.fault_events.end());
-    merged.tasks = std::move(tasks);
-    merged.fault_events = std::move(events);
-    // The job began when attempt 1 did; AM downtime counts against JCT.
-    const JobResult& first = entry.retired.front()->result();
-    merged.submit_time = first.submit_time;
-    merged.map_phase_start = first.map_phase_start;
-    for (const auto& old : entry.retired) {
-      merged.map_phase_end =
-          std::max(merged.map_phase_end, old->result().map_phase_end);
-    }
-  }
-  merged.am_attempts = entry.attempt_records;
-  merged.redone_work_mib = 0;
-  merged.redone_work_units = 0;
-  for (const AmAttemptRecord& rec : entry.attempt_records) {
-    merged.redone_work_mib += rec.wasted_mib;
-    merged.redone_work_units += rec.wasted_units;
   }
   return merged;
 }

@@ -31,10 +31,6 @@ namespace flexmr::obs {
 class EventTracer;
 }
 
-namespace flexmr {
-class LaneSet;
-}
-
 namespace flexmr::mr {
 
 /// Snapshot of one running (or starting) map task, as visible to an AM.
@@ -85,14 +81,6 @@ class DriverContext {
   virtual std::uint32_t total_slots() const = 0;
 
   virtual std::vector<RunningMapInfo> running_maps() const = 0;
-
-  /// Worker threads of the sharded engine, or null on the classic engine
-  /// (and when the sharded engine runs threadless). Decision kernels may
-  /// fan *pure per-element computation* out over it — results must be
-  /// combined in element order and must not depend on cross-element FP
-  /// accumulation (see DESIGN.md §13.4); shared driver state stays
-  /// control-lane-only (LaneSet::on_worker() guards the mutating paths).
-  virtual LaneSet* lane_set() const { return nullptr; }
 
   /// Observed input-processing speed of `node` (Eq. 3): the average IPS
   /// reported by the node's containers in the most recent heartbeat round,

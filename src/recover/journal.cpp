@@ -7,12 +7,13 @@
 
 namespace flexmr::recover {
 
-void JobJournal::record_map_commit(TaskId task, NodeId node,
+void JobJournal::record_map_commit(TaskId task, std::uint32_t attempt,
+                                   NodeId node,
                                    const std::vector<BlockUnitId>& bus,
                                    MiB size) {
   Record r;
   r.op = Op::kMapCommit;
-  r.map = CommittedMap{task, node, bus, size, 0};
+  r.map = CommittedMap{task, node, bus, size, 0, MapOrigin{attempt, task}};
   log_.push_back(std::move(r));
   ++total_appends_;
 }

@@ -39,13 +39,24 @@
 
 namespace flexmr::recover {
 
+/// Where a committed map's task record lives: the AM attempt that ran the
+/// map and its task id in that attempt.
+struct MapOrigin {
+  std::uint32_t attempt = 0;
+  TaskId task = kInvalidTask;
+};
+
 /// One committed map attempt as the journal remembers it.
 struct CommittedMap {
-  TaskId task = kInvalidTask;
+  TaskId task = kInvalidTask;  ///< Id in the current attempt's id space.
   NodeId node = kInvalidNode;
   std::vector<BlockUnitId> bus;  ///< Exact credited BU set, input order.
   MiB size = 0;                  ///< Input actually consumed (partial ok).
   std::uint32_t fetch_reports = 0;  ///< Shuffle-failure reports so far.
+  /// Fixed at commit; a rebase renumbers `task` but never the origin, so a
+  /// successor that loses a replayed output can relabel the record that
+  /// credited it.
+  MapOrigin origin;
 };
 
 /// Opaque per-scheduler replay record (FlexMap journals sizing-unit
@@ -99,7 +110,8 @@ struct RecoveredState {
 /// randomness, so an installed-but-unused journal cannot perturb a run.
 class JobJournal {
  public:
-  void record_map_commit(TaskId task, NodeId node,
+  /// `attempt` is the committing AM attempt (the record's origin).
+  void record_map_commit(TaskId task, std::uint32_t attempt, NodeId node,
                          const std::vector<BlockUnitId>& bus, MiB size);
   /// The commit of `task` is void (output lost to fetch failures or host
   /// death); its BUs become uncommitted again.

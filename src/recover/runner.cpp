@@ -138,8 +138,9 @@ void RecoveryRunner::arm_mttf() {
 }
 
 mr::JobResult RecoveryRunner::merge() const {
-  mr::JobResult merged = current_->result();
-
+  std::vector<const mr::JobDriver*> attempts;
+  for (const auto& attempt : attempts_) attempts.push_back(attempt.get());
+  mr::JobResult merged = mr::merge_am_attempts(attempts, attempt_records_);
   if (aborted_) {
     // crash_am leaves no finish_time and no abort record; the runner is
     // the authority that declared the job dead.
@@ -154,42 +155,6 @@ mr::JobResult RecoveryRunner::merge() const {
     merged.sim_events_fired = counters.fired;
     merged.sim_events_cancelled = counters.cancelled;
     merged.sim_queue_peak = counters.queue_peak;
-  }
-
-  if (attempts_.size() > 1) {
-    // Prior attempts' task records and fault timelines come first: each
-    // attempt's are internally chronological and attempts are disjoint in
-    // time, so concatenation preserves order.
-    std::vector<mr::TaskRecord> tasks;
-    std::vector<faults::FaultEvent> events;
-    for (std::size_t i = 0; i + 1 < attempts_.size(); ++i) {
-      const mr::JobResult& r = attempts_[i]->result();
-      tasks.insert(tasks.end(), r.tasks.begin(), r.tasks.end());
-      events.insert(events.end(), r.fault_events.begin(),
-                    r.fault_events.end());
-    }
-    tasks.insert(tasks.end(), merged.tasks.begin(), merged.tasks.end());
-    events.insert(events.end(), merged.fault_events.begin(),
-                  merged.fault_events.end());
-    merged.tasks = std::move(tasks);
-    merged.fault_events = std::move(events);
-
-    // The job began when attempt 1 did; AM downtime counts against JCT.
-    const mr::JobResult& first = attempts_.front()->result();
-    merged.submit_time = first.submit_time;
-    merged.map_phase_start = first.map_phase_start;
-    for (const auto& attempt : attempts_) {
-      merged.map_phase_end =
-          std::max(merged.map_phase_end, attempt->result().map_phase_end);
-    }
-  }
-
-  merged.am_attempts = attempt_records_;
-  merged.redone_work_mib = 0;
-  merged.redone_work_units = 0;
-  for (const mr::AmAttemptRecord& rec : attempt_records_) {
-    merged.redone_work_mib += rec.wasted_mib;
-    merged.redone_work_units += rec.wasted_units;
   }
   return merged;
 }

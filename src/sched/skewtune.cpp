@@ -6,15 +6,8 @@
 #include "common/logging.hpp"
 #include "obs/profiler.hpp"
 #include "obs/tracer.hpp"
-#include "simcore/lane_set.hpp"
 
 namespace flexmr::sched {
-
-namespace {
-/// Minimum running-task count before the straggler scan fans out to the
-/// lane workers (matches the driver's snapshot threshold).
-constexpr std::size_t kParallelScanMin = 2048;
-}  // namespace
 
 void SkewTuneScheduler::on_job_start(mr::DriverContext& ctx) {
   StockHadoopScheduler::on_job_start(ctx);
@@ -73,11 +66,7 @@ TaskId SkewTuneScheduler::find_straggler(mr::DriverContext& ctx) const {
   FLEXMR_PROF_SCOPE("sched/skewtune_argmax");
   const SimTime now = ctx.now();
   const auto running = ctx.running_maps();
-  // Candidate scoring is pure per-element FP (no accumulation across
-  // elements), and the strict-`>` argmax keeps the *first* maximum — so
-  // per-chunk argmaxes combined with the same strict `>` in chunk order
-  // give exactly the serial winner, and the scan may fan out over the
-  // lane workers on big clusters (DESIGN.md §13.4).
+  // The strict-`>` argmax keeps the *first* maximum.
   const auto time_left_of = [&](const mr::RunningMapInfo& info) -> double {
     if (!info.computing) return 0;
     if (mitigation_tasks_.contains(info.id)) return 0;
@@ -98,31 +87,6 @@ TaskId SkewTuneScheduler::find_straggler(mr::DriverContext& ctx) const {
   };
   TaskId best = kInvalidTask;
   double best_time_left = 0;
-  LaneSet* lanes = ctx.lane_set();
-  if (lanes != nullptr && lanes->workers() > 0 &&
-      running.size() >= kParallelScanMin) {
-    const std::size_t max_chunks = lanes->workers() + 1;
-    std::vector<TaskId> chunk_best(max_chunks, kInvalidTask);
-    std::vector<double> chunk_time_left(max_chunks, 0);
-    lanes->run_chunked(
-        running.size(), kParallelScanMin,
-        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            const double time_left = time_left_of(running[i]);
-            if (time_left > chunk_time_left[chunk]) {
-              chunk_time_left[chunk] = time_left;
-              chunk_best[chunk] = running[i].id;
-            }
-          }
-        });
-    for (std::size_t chunk = 0; chunk < max_chunks; ++chunk) {
-      if (chunk_time_left[chunk] > best_time_left) {
-        best_time_left = chunk_time_left[chunk];
-        best = chunk_best[chunk];
-      }
-    }
-    return best;
-  }
   for (const auto& info : running) {
     const double time_left = time_left_of(info);
     if (time_left > best_time_left) {

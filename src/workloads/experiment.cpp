@@ -64,13 +64,6 @@ mr::JobResult run_job(cluster::Cluster& cluster, const Benchmark& bench,
                       const RunConfig& config) {
   cluster.reset();
   Simulator sim;
-  if (config.lanes > 0) {
-    // The heartbeat interval is the natural conservative lookahead: it is
-    // the cadence at which node-local progress feeds back into global
-    // scheduling decisions (DESIGN.md §13).
-    sim.configure_lanes(config.lanes, config.params.heartbeat_period_s,
-                        config.lane_threads);
-  }
   // Admission check: rs(k,m) needs k+m distinct holders among the nodes
   // that are actually up when the file is written (t=0). Nodes crashing
   // later degrade reads; nodes already down shrink the placement domain.

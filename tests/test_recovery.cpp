@@ -7,7 +7,8 @@
 // the restart), while redoing strictly less work than starting from
 // scratch. Plus: attempt-budget aborts, probabilistic (MTTF) AM death,
 // snapshot-cadence invariance, journal artifact shape, multi-job and
-// service survival of AM loss, and a pinned golden for a mid-map crash.
+// service survival of AM loss, a pinned golden for a mid-map crash, and
+// AM crashes composed with disk faults and with fetch failures.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -158,6 +159,57 @@ TEST_P(RecoverySweep, CrashedRunsAreByteDeterministic) {
   const auto first = run_case(GetParam(), plan);
   const auto second = run_case(GetParam(), plan);
   EXPECT_EQ(mr::job_result_json(first), mr::job_result_json(second));
+}
+
+mr::JobResult run_virtual20(SchedulerKind kind, std::uint64_t seed,
+                            const FaultPlan& plan) {
+  auto cluster = cluster::presets::virtual20();
+  RunConfig config;
+  config.params.seed = seed;
+  config.faults = plan;
+  return workloads::run_job(cluster, workloads::benchmark("WC"),
+                            InputScale::kSmall, kind, config);
+}
+
+// Regression: a successor AM rebuilt its block index from the static
+// layout plus repaired holders, but kept the layout holders whose disk a
+// fault had destroyed. A repair onto such a holder then tripped "node
+// already holds a replica of this block" (InvariantError).
+TEST_P(RecoverySweep, AmCrashAfterDiskFaultsKeepsTheReplicaIndexConsistent) {
+  FaultPlan plan;
+  plan.disk_faults = {faults::DiskFault{7, 0, 5.0},
+                      faults::DiskFault{12, 1, 8.0},
+                      faults::DiskFault{18, 2, 11.0}};
+  plan.am_crashes = {20.0};
+  mr::JobResult result;
+  ASSERT_NO_THROW(result = run_virtual20(GetParam(), 1234, plan));
+  EXPECT_FALSE(result.aborted);
+  EXPECT_EQ(result.am_restarts, 1u);
+  EXPECT_DOUBLE_EQ(credited_mib(result),
+                   workloads::benchmark("WC").small_input);
+}
+
+// Regression: a map replayed from the journal has no task record in the
+// successor attempt. When the successor lost that map's output to fetch
+// failures, nothing was relabeled, so the first attempt's record stayed
+// credited and the re-run credited the same input a second time.
+TEST_P(RecoverySweep, AmCrashWithFetchFailuresCreditsInputExactlyOnce) {
+  FaultPlan plan;
+  plan.fetch_failure_prob = 0.01;
+  plan.am_crashes = {40.0};
+  const auto result = run_virtual20(GetParam(), 1, plan);
+  ASSERT_FALSE(result.aborted);
+  ASSERT_EQ(result.am_restarts, 1u);
+  EXPECT_DOUBLE_EQ(credited_mib(result),
+                   workloads::benchmark("WC").small_input);
+  // Every lost output is one relabeled record, whichever attempt ran it.
+  std::size_t lost_events = 0;
+  for (const auto& ev : result.fault_events) {
+    if (ev.type == faults::FaultEventType::kMapOutputLost) ++lost_events;
+  }
+  EXPECT_GT(lost_events, 0u);
+  EXPECT_EQ(result.count(mr::TaskKind::kMap, mr::TaskStatus::kLostOutput),
+            lost_events);
 }
 
 INSTANTIATE_TEST_SUITE_P(

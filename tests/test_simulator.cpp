@@ -231,8 +231,8 @@ TEST(Simulator, CountersTrackScheduleFireCancelAndPeak) {
   EXPECT_EQ(counters.queue_peak, 3u);
 }
 
-// Pins the full run_until(t) boundary contract (the sharded mirror lives
-// in test_sharded_golden.cpp): every event with time exactly t fires —
+// Pins the full run_until(t) boundary contract: every event with time
+// exactly t fires —
 // including one scheduled *at t, during the call* by another boundary
 // event — in schedule (seq) order, events past t stay queued, and the
 // clock lands exactly on t even though the last fired event was at t.
@@ -254,8 +254,8 @@ TEST(Simulator, RunUntilBoundaryFiresAtTInSeqOrderIncludingNewlyScheduled) {
 }
 
 // run_until past an empty queue, or with only cancelled residue in front,
-// still advances the clock to exactly t (the classic engine pops dead
-// entries even beyond t; the sharded engine mirrors this).
+// still advances the clock to exactly t (dead entries at the front are
+// popped even beyond t).
 TEST(Simulator, RunUntilAdvancesClockThroughCancelledResidue) {
   Simulator sim;
   const EventId dead = sim.schedule_at(5.0, []() {});
