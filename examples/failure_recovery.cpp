@@ -5,6 +5,7 @@
 // the killed containers, the re-executed lost outputs, the utilization
 // shift onto the survivors, and an ASCII Gantt chart of both runs.
 #include <cstdio>
+#include <optional>
 
 #include "cluster/presets.hpp"
 #include "common/table.hpp"
@@ -57,7 +58,9 @@ int main() {
   report("healthy run (FlexMap, 6 nodes)", healthy, cluster);
 
   auto cluster2 = cluster::presets::homogeneous6();
-  config.node_failures = {{2, 12.0}};
+  // Oracle detection: the AM learns of the crash the moment it happens.
+  config.faults.crashes = {
+      faults::NodeCrash{2, 12.0, std::nullopt, /*silent=*/false}};
   const auto failed = workloads::run_job(
       cluster2, bench, workloads::InputScale::kSmall,
       workloads::SchedulerKind::kFlexMap, config);

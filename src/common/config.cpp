@@ -1,6 +1,8 @@
 #include "common/config.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -113,6 +115,29 @@ bool Config::get_bool(const std::string& key, bool fallback) const {
   if (*value == "true" || *value == "1" || *value == "yes") return true;
   if (*value == "false" || *value == "0" || *value == "no") return false;
   throw ConfigError("key '" + key + "' is not a boolean: " + *value);
+}
+
+std::optional<std::pair<std::uint32_t, double>> Config::get_id_at(
+    const std::string& key) const {
+  const auto value = get(key);
+  if (!value) return std::nullopt;
+  const std::string_view text = *value;
+  const std::size_t at = text.find('@');
+  const auto whole = [](std::string_view token, auto& out) {
+    token = trim(token);
+    const auto [end, ec] =
+        std::from_chars(token.data(), token.data() + token.size(), out);
+    return !token.empty() && ec == std::errc() &&
+           end == token.data() + token.size();
+  };
+  std::uint32_t id = 0;
+  double seconds = 0;
+  if (at == std::string_view::npos || !whole(text.substr(0, at), id) ||
+      !whole(text.substr(at + 1), seconds) || !std::isfinite(seconds)) {
+    throw ConfigError("key '" + key + "' is not '<id> @ <seconds>': " +
+                      *value);
+  }
+  return std::pair{id, seconds};
 }
 
 std::string Config::require_string(const std::string& key) const {

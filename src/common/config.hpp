@@ -6,10 +6,12 @@
 // any section header live in the "" section and are addressed bare.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 
 namespace flexmr {
 
@@ -31,6 +33,13 @@ class Config {
   double get_double(const std::string& key, double fallback) const;
   long get_int(const std::string& key, long fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
+
+  /// Reads an `<id> @ <seconds>` spec such as "3 @ 25": a non-negative
+  /// integer id and a finite number of seconds. Each side must be consumed
+  /// whole (surrounding whitespace aside); anything else throws
+  /// ConfigError naming the key. Nullopt when the key is absent.
+  std::optional<std::pair<std::uint32_t, double>> get_id_at(
+      const std::string& key) const;
 
   /// Required-key variants throw ConfigError when absent or malformed.
   std::string require_string(const std::string& key) const;

@@ -73,14 +73,7 @@ void JobDriver::start() {
   FLEXMR_ASSERT_MSG(!started_, "JobDriver is one-shot");
   started_ = true;
 
-  // Fold legacy one-shot failures into the plan (oracle-detected crashes)
-  // and validate the whole thing against this cluster before any state
-  // changes.
-  for (const auto& [node, time] : planned_failures_) {
-    plan_.crashes.push_back(
-        faults::NodeCrash{node, time, std::nullopt, /*silent=*/false});
-  }
-  planned_failures_.clear();
+  // Validate the plan against this cluster before any state changes.
   plan_.validate(cluster_->num_nodes());
   if (plan_.has_am_faults() && journal_ == nullptr) {
     throw ConfigError(
@@ -182,8 +175,7 @@ void JobDriver::start() {
   if (owned_rm_) {
     // Single-job mode: this driver owns interference and the offer loop.
     cluster_->start(*sim_, rng_);
-    rm_.set_offer_handler(
-        [this](NodeId node) { return handle_offer(node); });
+    rm_.set_offer_handler([this](NodeId node) { return offer(node); });
   }
   speed_listener_ids_.reserve(cluster_->num_nodes());
   for (NodeId node = 0; node < cluster_->num_nodes(); ++node) {
@@ -208,9 +200,7 @@ void JobDriver::start() {
   // events and exhausted probability draws included).
   if (injector_ && am_attempt_ == 1) injector_->arm(*sim_, *cluster_);
 
-  sim_->schedule_after(0.0, [this]() {
-    if (!done_) rm_.offer_all();
-  });
+  reoffer_soon();
   sim_->schedule_after(params_.heartbeat_period_s, [this]() { heartbeat(); });
 }
 
@@ -238,10 +228,96 @@ JobResult JobDriver::run() {
 }
 
 // ---------------------------------------------------------------------------
+// Attempt lifecycle (maps and reduces)
+// ---------------------------------------------------------------------------
+
+const JobDriver::Steps JobDriver::kMapSteps{&JobDriver::map_compute_start,
+                                            &JobDriver::map_complete,
+                                            &JobDriver::map_attempt_fail};
+const JobDriver::Steps JobDriver::kReduceSteps{
+    &JobDriver::reduce_fetch_start, &JobDriver::reduce_complete,
+    &JobDriver::reduce_attempt_fail};
+
+void JobDriver::draw_fate(Attempt& task) {
+  if (params_.exec_noise_sigma > 0) {
+    const double sigma = params_.exec_noise_sigma;
+    task.exec_noise = std::exp(-sigma * sigma / 2.0 + sigma * rng_.normal());
+  }
+  task.planned_fault = PlannedFault::kNone;
+  task.fail_frac = 0;
+  if (injector_) {
+    if (injector_->draw_launch_failure(task.node)) {
+      task.planned_fault = PlannedFault::kLaunchFail;
+    } else if (injector_->draw_attempt_failure(task.node)) {
+      task.planned_fault = PlannedFault::kAttemptFail;
+      task.fail_frac = injector_->draw_failure_fraction();
+    }
+  }
+}
+
+void JobDriver::schedule_startup(Attempt& task, std::size_t key,
+                                 SimDuration startup, const Steps& steps) {
+  // Dispatched onto a silently-dead node (the AM has not noticed yet): the
+  // container never comes up. The attempt freezes in kStarting until
+  // heartbeat expiry declares the node lost and reclaims its work.
+  if (injector_ && !injector_->responsive(task.node)) return;
+  const bool launch_fails = task.planned_fault == PlannedFault::kLaunchFail;
+  const Step step = launch_fails ? steps.fail : steps.start;
+  task.pending_event = sim_->schedule_after(
+      launch_fails ? params_.container_alloc_s : startup,
+      [this, key, step]() { (this->*step)(key); });
+}
+
+void JobDriver::schedule_compute_end(Attempt& task, std::size_t key,
+                                     const Steps& steps) {
+  if (task.pending_event != kInvalidEvent) sim_->cancel(task.pending_event);
+  const auto eta = task.integrator->eta(sim_->now());
+  FLEXMR_ASSERT_MSG(eta.has_value(), "attempt stalled at zero rate");
+  SimTime at = *eta;
+  Step step = steps.complete;
+  if (task.planned_fault == PlannedFault::kAttemptFail) {
+    // The attempt dies fail_frac of the way to its projected completion
+    // (wall-clock moment — later speed changes re-rate the integrator but
+    // do not move the death).
+    at = sim_->now() + task.fail_frac * (*eta - sim_->now());
+    step = steps.fail;
+  }
+  task.pending_event =
+      sim_->schedule_at(at, [this, key, step]() { (this->*step)(key); });
+}
+
+MiB JobDriver::stop_attempt(Attempt& task, std::size_t& running) {
+  if (task.pending_event != kInvalidEvent) {
+    sim_->cancel(task.pending_event);
+    task.pending_event = kInvalidEvent;
+  }
+  task.phase = TaskPhase::kDone;
+  --running;
+  return task.integrator ? task.integrator->done(sim_->now()) : 0.0;
+}
+
+void JobDriver::freeze_attempt(Attempt& task) {
+  if (task.pending_event != kInvalidEvent) {
+    sim_->cancel(task.pending_event);
+    task.pending_event = kInvalidEvent;
+  }
+  if (task.integrator) task.integrator->set_rate(sim_->now(), 0.0);
+  if (tracer_ != nullptr && tracer_->task_open(ttok(task.id))) {
+    tracer_->task_instant(ttok(task.id), "frozen (node silent)", sim_->now());
+  }
+}
+
+void JobDriver::reoffer_soon() {
+  sim_->schedule_after(0.0, [this]() {
+    if (!done_) rm_.offer_all();
+  });
+}
+
+// ---------------------------------------------------------------------------
 // Map phase
 // ---------------------------------------------------------------------------
 
-bool JobDriver::handle_offer(NodeId node) {
+bool JobDriver::offer(NodeId node) {
   if (done_) return false;
   if (node_blacklisted(node)) return false;
   if (!map_phase_done_) {
@@ -334,20 +410,7 @@ void JobDriver::dispatch_map(NodeId node, MapLaunch launch) {
   }
   task->avg_cost = work / task->size;
   task->local_fraction = local / task->size;
-  if (params_.exec_noise_sigma > 0) {
-    const double sigma = params_.exec_noise_sigma;
-    task->exec_noise = std::exp(-sigma * sigma / 2.0 +
-                                sigma * rng_.normal());
-  }
-
-  if (injector_) {
-    if (injector_->draw_launch_failure(node)) {
-      task->planned_fault = PlannedFault::kLaunchFail;
-    } else if (injector_->draw_attempt_failure(node)) {
-      task->planned_fault = PlannedFault::kAttemptFail;
-      task->fail_frac = injector_->draw_failure_fraction();
-    }
-  }
+  draw_fate(*task);
 
   const TaskId id = task->id;
   SimDuration decode_s = 0;
@@ -367,20 +430,10 @@ void JobDriver::dispatch_map(NodeId node, MapLaunch launch) {
                         {"decode_s", decode_s}});
     }
   }
-  const SimDuration startup = params_.container_alloc_s +
-                              params_.jvm_startup_s +
-                              launch.extra_startup_s + decode_s;
-  if (injector_ && !injector_->responsive(node)) {
-    // Dispatched onto a silently-dead node (the AM has not noticed yet):
-    // the container never comes up. The task freezes in kStarting until
-    // heartbeat expiry declares the node lost and reclaims its work.
-  } else if (task->planned_fault == PlannedFault::kLaunchFail) {
-    task->pending_event = sim_->schedule_after(
-        params_.container_alloc_s, [this, id]() { map_attempt_fail(id); });
-  } else {
-    task->pending_event = sim_->schedule_after(
-        startup, [this, id]() { map_compute_start(id); });
-  }
+  schedule_startup(*task, id,
+                   params_.container_alloc_s + params_.jvm_startup_s +
+                       launch.extra_startup_s + decode_s,
+                   kMapSteps);
 
   ++running_map_count_;
   map_tasks_.push_back(std::move(task));
@@ -397,41 +450,17 @@ double JobDriver::map_rate(const MapTask& task) const {
          (job_.map_cost * task.avg_cost * remote_factor * task.exec_noise);
 }
 
-void JobDriver::map_compute_start(TaskId id) {
+void JobDriver::map_compute_start(std::size_t id) {
   MapTask& task = *map_tasks_[id];
   task.phase = TaskPhase::kComputing;
   task.compute_start = sim_->now();
   task.integrator.emplace(task.size, map_rate(task), sim_->now());
   if (tracer_ != nullptr) {
-    tracer_->task_child_end(ttok(id), task.compute_start);
-    tracer_->task_child_begin(ttok(id), "compute", task.compute_start,
+    tracer_->task_child_end(ttok(task.id), task.compute_start);
+    tracer_->task_child_begin(ttok(task.id), "compute", task.compute_start,
                               {{"rate_mibps", map_rate(task)}});
   }
-  if (task.planned_fault == PlannedFault::kAttemptFail) {
-    // The attempt dies fail_frac of the way to its projected completion
-    // (wall-clock moment — later speed changes re-rate the integrator but
-    // do not move the death).
-    const auto eta = task.integrator->eta(sim_->now());
-    FLEXMR_ASSERT(eta.has_value());
-    const SimTime fail_at =
-        sim_->now() + task.fail_frac * (*eta - sim_->now());
-    task.pending_event =
-        sim_->schedule_at(fail_at, [this, id]() { map_attempt_fail(id); });
-    return;
-  }
-  reschedule_map_completion(task);
-}
-
-void JobDriver::reschedule_map_completion(MapTask& task) {
-  if (task.pending_event != kInvalidEvent) {
-    sim_->cancel(task.pending_event);
-    task.pending_event = kInvalidEvent;
-  }
-  const auto eta = task.integrator->eta(sim_->now());
-  FLEXMR_ASSERT_MSG(eta.has_value(), "map task stalled at zero rate");
-  const TaskId id = task.id;
-  task.pending_event =
-      sim_->schedule_at(*eta, [this, id]() { map_complete(id); });
+  schedule_compute_end(task, id, kMapSteps);
 }
 
 void JobDriver::record_map(const MapTask& task, TaskStatus status,
@@ -453,12 +482,26 @@ void JobDriver::record_map(const MapTask& task, TaskStatus status,
   result_.tasks.push_back(rec);
 }
 
-void JobDriver::map_complete(TaskId id) {
-  MapTask& task = *map_tasks_[id];
+void JobDriver::record_reduce(const ReduceTask& task, TaskStatus status,
+                              MiB input, double phase_progress) {
+  TaskRecord rec;
+  rec.id = task.id;
+  rec.node = task.node;
+  rec.kind = TaskKind::kReduce;
+  rec.status = status;
+  rec.dispatch_time = task.dispatch_time;
+  rec.compute_start = task.compute_start;
+  rec.end_time = sim_->now();
+  rec.input_mib = input;
+  rec.phase_progress_at_end = phase_progress;
+  result_.tasks.push_back(rec);
+}
+
+void JobDriver::map_complete(std::size_t idx) {
+  MapTask& task = *map_tasks_[idx];
+  const TaskId id = task.id;
   FLEXMR_ASSERT(task.phase == TaskPhase::kComputing);
-  task.phase = TaskPhase::kDone;
-  task.pending_event = kInvalidEvent;
-  --running_map_count_;
+  stop_attempt(task, running_map_count_);
 
   // NOTE: rm_.release / kill_map below can cascade into dispatch_map, which
   // may reallocate map_tasks_ — copy what we need before any of them.
@@ -521,15 +564,8 @@ void JobDriver::map_complete(TaskId id) {
 void JobDriver::kill_map(TaskId id, TaskStatus final_status) {
   MapTask& task = *map_tasks_[id];
   FLEXMR_ASSERT(task.phase != TaskPhase::kDone);
-  if (task.pending_event != kInvalidEvent) {
-    sim_->cancel(task.pending_event);
-    task.pending_event = kInvalidEvent;
-  }
-  task.phase = TaskPhase::kDone;
-  --running_map_count_;
+  const MiB consumed = stop_attempt(task, running_map_count_);
   const NodeId node = task.node;
-  const MiB consumed =
-      task.integrator ? task.integrator->done(sim_->now()) : 0.0;
   record_map(task, final_status, consumed, 0);
   if (tracer_ != nullptr) {
     trace_task_closed(id, to_string(final_status), "twin finished first",
@@ -579,18 +615,10 @@ std::vector<BlockUnitId> JobDriver::reclaim_map(TaskId id,
   FLEXMR_ASSERT_MSG(task.twin == kInvalidTask && !task.speculative,
                     "kill_and_reclaim on a speculated task");
 
-  if (task.pending_event != kInvalidEvent) {
-    sim_->cancel(task.pending_event);
-    task.pending_event = kInvalidEvent;
-  }
-  task.phase = TaskPhase::kDone;
-  --running_map_count_;
-
   // Split the BU list at the consumed prefix: complete BUs stay credited
   // to this task; the partially-read BU (if any) and the unread suffix go
   // back to the pool.
-  const MiB consumed =
-      task.integrator ? task.integrator->done(sim_->now()) : 0.0;
+  const MiB consumed = stop_attempt(task, running_map_count_);
   MiB acc = 0;
   std::size_t kept = 0;
   while (kept < task.bus.size()) {
@@ -625,7 +653,9 @@ std::vector<BlockUnitId> JobDriver::reclaim_map(TaskId id,
   index_.put_back(remaining);
   rm_.release(node);  // `task` may dangle past this point
   // If this ran inside an offer cascade the release above was swallowed by
-  // the re-entrancy guard; mop up once the current event unwinds.
+  // the re-entrancy guard; mop up once the current event unwinds. Unlike
+  // reoffer_soon() this runs even once the job is done: under a shared RM
+  // the round still offers the freed slot to other jobs.
   sim_->schedule_after(0.0, [this]() { rm_.offer_all(); });
 
   if (processed_bus_ == layout_->bus.size() && !map_phase_done_) {
@@ -752,33 +782,12 @@ bool JobDriver::dispatch_reduce(NodeId node) {
   task.node = node;
   task.remote =
       (total_intermediate_ - intermediate_on_node_[node]) * task.share;
-  if (params_.exec_noise_sigma > 0) {
-    const double sigma = params_.exec_noise_sigma;
-    task.exec_noise = std::exp(-sigma * sigma / 2.0 + sigma * rng_.normal());
-  }
   task.dispatch_time = sim_->now();
-  task.planned_fault = PlannedFault::kNone;
-  task.fail_frac = 0;
-  if (injector_) {
-    if (injector_->draw_launch_failure(node)) {
-      task.planned_fault = PlannedFault::kLaunchFail;
-    } else if (injector_->draw_attempt_failure(node)) {
-      task.planned_fault = PlannedFault::kAttemptFail;
-      task.fail_frac = injector_->draw_failure_fraction();
-    }
-  }
+  draw_fate(task);
   ++running_reduce_count_;
-  const SimDuration startup =
-      params_.container_alloc_s + params_.jvm_startup_s;
-  if (injector_ && !injector_->responsive(node)) {
-    // Container on a silently-dead node: frozen until detection.
-  } else if (task.planned_fault == PlannedFault::kLaunchFail) {
-    task.pending_event = sim_->schedule_after(
-        params_.container_alloc_s, [this, idx]() { reduce_attempt_fail(idx); });
-  } else {
-    task.pending_event = sim_->schedule_after(
-        startup, [this, idx]() { reduce_fetch_start(idx); });
-  }
+  schedule_startup(task, idx,
+                   params_.container_alloc_s + params_.jvm_startup_s,
+                   kReduceSteps);
   if (tracer_ != nullptr) {
     tracer_->task_begin(obs::node_pid(node), ttok(task.id),
                         "reduce " + std::to_string(idx), "reduce",
@@ -917,40 +926,16 @@ void JobDriver::report_fetch_failure(NodeId host) {
   record_fault(faults::FaultEventType::kMapOutputLost, host, victim->id,
                reports);
   map_fetch_reports_[victim->id] = 0;
-  std::uint32_t worst_attempts = 0;
-  BlockUnitId worst_bu = 0;
-  for (const BlockUnitId bu : victim->bus) {
-    const std::uint32_t attempts = ++bu_attempt_failures_[bu];
-    if (journal_ != nullptr) journal_->record_bu_attempt_failure(bu);
-    if (attempts > worst_attempts) {
-      worst_attempts = attempts;
-      worst_bu = bu;
-    }
-  }
+  const auto [worst_bu, worst_attempts] = charge_bu_attempts(victim->bus);
   reopen_map_phase_for_lost_outputs();
   std::vector<BlockUnitId> reclaimed;
   lose_map_output(*victim, reclaimed);
-  note_node_attempt_failure(host);
-  if (worst_attempts >= plan_.max_attempts) {
-    abort_job("map input unit " + std::to_string(worst_bu) + " failed " +
-              std::to_string(worst_attempts) + " attempts");
-  }
-  if (!done_) {
-    // The reclaimed BUs are unread again; if their blocks lost every
-    // replica since the map ran, the input is gone.
-    std::vector<std::uint32_t> suspects;
-    for (const BlockUnitId bu : reclaimed) {
-      suspects.push_back(layout_->bus[bu].block);
-    }
-    std::sort(suspects.begin(), suspects.end());
-    suspects.erase(std::unique(suspects.begin(), suspects.end()),
-                   suspects.end());
-    check_data_loss(suspects);
-  }
+  charge_failure(host, "map input unit", worst_bu, worst_attempts);
+  // The reclaimed BUs are unread again; if their blocks lost every replica
+  // since the map ran, the input is gone.
+  check_data_loss({}, reclaimed);
   if (!done_) scheduler_->on_attempt_failed(*this, host, reclaimed);
-  sim_->schedule_after(0.0, [this]() {
-    if (!done_) rm_.offer_all();
-  });
+  reoffer_soon();
 }
 
 double JobDriver::reduce_rate(const ReduceTask& task) const {
@@ -971,36 +956,14 @@ void JobDriver::reduce_compute_start(std::size_t idx) {
     return;
   }
   task.integrator.emplace(task.input, reduce_rate(task), sim_->now());
-  const auto eta = task.integrator->eta(sim_->now());
-  FLEXMR_ASSERT(eta.has_value());
-  if (task.planned_fault == PlannedFault::kAttemptFail) {
-    const SimTime fail_at =
-        sim_->now() + task.fail_frac * (*eta - sim_->now());
-    task.pending_event = sim_->schedule_at(
-        fail_at, [this, idx]() { reduce_attempt_fail(idx); });
-    return;
-  }
-  task.pending_event =
-      sim_->schedule_at(*eta, [this, idx]() { reduce_complete(idx); });
+  schedule_compute_end(task, idx, kReduceSteps);
 }
 
 void JobDriver::reduce_complete(std::size_t idx) {
   ReduceTask& task = *reduce_tasks_[idx];
-  task.phase = TaskPhase::kDone;
-  task.pending_event = kInvalidEvent;
-  --running_reduce_count_;
-
-  TaskRecord rec;
-  rec.id = task.id;
-  rec.node = task.node;
-  rec.kind = TaskKind::kReduce;
-  rec.status = TaskStatus::kCompleted;
-  rec.dispatch_time = task.dispatch_time;
-  rec.compute_start = task.compute_start;
-  rec.end_time = sim_->now();
-  rec.input_mib = task.input;
-  rec.phase_progress_at_end = 1.0;
-  result_.tasks.push_back(rec);
+  stop_attempt(task, running_reduce_count_);
+  record_reduce(task, TaskStatus::kCompleted, task.input, 1.0);
+  const TaskRecord& rec = result_.tasks.back();
   // Commit point: the reducer's output is durable (HDFS-committed).
   if (journal_ != nullptr) {
     journal_->record_reduce_commit(static_cast<std::uint32_t>(idx),
@@ -1148,20 +1111,6 @@ void JobDriver::heartbeat() {
 // Failure injection
 // ---------------------------------------------------------------------------
 
-void JobDriver::schedule_node_failure(NodeId node, SimTime time) {
-  FLEXMR_ASSERT_MSG(!started_, "schedule failures before run()");
-  if (node >= cluster_->num_nodes()) {
-    throw ConfigError("node failure names node " + std::to_string(node) +
-                      " but the cluster has " +
-                      std::to_string(cluster_->num_nodes()) + " nodes");
-  }
-  if (time < 0.0) {
-    throw ConfigError("node failure of node " + std::to_string(node) +
-                      " at negative time " + std::to_string(time));
-  }
-  planned_failures_.emplace_back(node, time);
-}
-
 void JobDriver::install_faults(faults::FaultPlan plan) {
   FLEXMR_ASSERT_MSG(!started_, "install faults before run()");
   FLEXMR_ASSERT_MSG(owned_rm_ != nullptr,
@@ -1201,14 +1150,7 @@ void JobDriver::crash_am() {
   for (const TaskId id : live_map_ids_) {
     MapTask& task = *map_tasks_[id];
     if (task.phase == TaskPhase::kDone) continue;
-    if (task.pending_event != kInvalidEvent) {
-      sim_->cancel(task.pending_event);
-      task.pending_event = kInvalidEvent;
-    }
-    task.phase = TaskPhase::kDone;
-    --running_map_count_;
-    const MiB consumed =
-        task.integrator ? task.integrator->done(sim_->now()) : 0.0;
+    const MiB consumed = stop_attempt(task, running_map_count_);
     attempt.wasted_mib += consumed;
     // Exactly one of an original/copy pair owns the BU list; counting the
     // owner only keeps wasted_units a partition of the job's BUs.
@@ -1229,33 +1171,11 @@ void JobDriver::crash_am() {
   for (auto& owned : reduce_tasks_) {
     ReduceTask& task = *owned;
     if (task.node == kInvalidNode || task.phase == TaskPhase::kDone) continue;
-    if (task.pending_event != kInvalidEvent) {
-      sim_->cancel(task.pending_event);
-      task.pending_event = kInvalidEvent;
-    }
-    const MiB consumed =
-        task.integrator ? task.integrator->done(sim_->now()) : 0.0;
+    const MiB consumed = stop_attempt(task, running_reduce_count_);
     attempt.wasted_mib += consumed;
-    TaskRecord rec;
-    rec.id = task.id;
-    rec.node = task.node;
-    rec.kind = TaskKind::kReduce;
-    rec.status = TaskStatus::kKilled;
-    rec.dispatch_time = task.dispatch_time;
-    rec.compute_start = task.compute_start;
-    rec.end_time = sim_->now();
-    rec.input_mib = consumed;
-    rec.phase_progress_at_end = map_phase_progress();
-    result_.tasks.push_back(rec);
-    if (tracer_ != nullptr && tracer_->task_open(ttok(task.id))) {
-      tracer_->task_end(ttok(task.id), sim_->now(),
-                        {{"status", "killed"},
-                         {"reason", "am crashed"},
-                         {"consumed_mib", consumed}});
-    }
+    record_reduce(task, TaskStatus::kKilled, consumed, map_phase_progress());
+    trace_task_closed(task.id, "killed", "am crashed", consumed);
     const NodeId host = task.node;
-    task.phase = TaskPhase::kDone;
-    --running_reduce_count_;
     if (!rm_.is_dead(host)) rm_.release(host);
   }
 
@@ -1463,10 +1383,7 @@ void JobDriver::fail_node(NodeId node, bool schedule_reoffer) {
     replica_report = replica_mgr_->on_node_lost(node);
     index_.deactivate_node(node);
     for (const std::uint32_t block : replica_report.lost) {
-      record_fault(layout_->storage.erasure()
-                       ? faults::FaultEventType::kPartLost
-                       : faults::FaultEventType::kReplicaLost,
-                   node, kInvalidTask, 0, block);
+      record_replica_lost(node, block);
     }
   }
 
@@ -1478,63 +1395,24 @@ void JobDriver::fail_node(NodeId node, bool schedule_reoffer) {
   for (auto& owned : map_tasks_) {
     MapTask& task = *owned;
     if (task.node != node || task.phase == TaskPhase::kDone) continue;
-    if (task.pending_event != kInvalidEvent) {
-      sim_->cancel(task.pending_event);
-      task.pending_event = kInvalidEvent;
-    }
-    task.phase = TaskPhase::kDone;
-    --running_map_count_;
-    const MiB consumed =
-        task.integrator ? task.integrator->done(sim_->now()) : 0.0;
+    const MiB consumed = stop_attempt(task, running_map_count_);
     record_map(task, TaskStatus::kKilled, consumed, 0);
     if (tracer_ != nullptr) {
       trace_task_closed(task.id, "killed", "node lost", consumed);
       ctr_maps_killed_->inc();
     }
-    if (task.twin != kInvalidTask) {
-      MapTask& twin = *map_tasks_[task.twin];
-      const bool twin_survives =
-          !(twin.node == node && twin.phase != TaskPhase::kDone);
-      twin.twin = kInvalidTask;
-      task.twin = kInvalidTask;
-      if (twin_survives) {
-        // The twin covers this work now — and inherits the duty of
-        // returning the BUs should it die too.
-        if (task.owns_bus) {
-          twin.owns_bus = true;
-          task.owns_bus = false;
-        }
-        task.bus.clear();
-      } else if (task.owns_bus) {
-        // Both copies die on this node; the owner returns the BUs (the
-        // other list is a duplicate and must not be put back too).
-        index_.put_back(task.bus);
-        reclaimed.insert(reclaimed.end(), task.bus.begin(), task.bus.end());
-        task.bus.clear();
-        task.size = 0;
-      } else {
-        task.bus.clear();
-      }
-    } else if (task.owns_bus) {
-      index_.put_back(task.bus);
-      reclaimed.insert(reclaimed.end(), task.bus.begin(), task.bus.end());
-      task.bus.clear();
-      task.size = 0;
-    } else {
-      task.bus.clear();  // non-owning copy: duplicate of the owner's list
-    }
+    // Both copies of a pair can die on this node; then the owner returns
+    // the BUs (the other list is a duplicate and must not be put back too).
+    const bool twin_survives =
+        task.twin != kInvalidTask &&
+        !(map_tasks_[task.twin]->node == node &&
+          map_tasks_[task.twin]->phase != TaskPhase::kDone);
+    release_bus(task, twin_survives, reclaimed);
   }
 
   // 2. Lost map outputs: if the shuffle still needs them (reduce phase
   //    not yet planned), every credited map on the node re-executes.
-  if (!job_.map_only() && !map_phase_done_) {
-    for (auto& owned : map_tasks_) {
-      MapTask& task = *owned;
-      if (task.node != node || !task.credited || task.output_lost) continue;
-      lose_map_output(task, reclaimed);
-    }
-    intermediate_on_node_[node] = 0.0;
-  }
+  if (!job_.map_only() && !map_phase_done_) lose_outputs_on(node, reclaimed);
 
   // 3. Reduce phase: re-queue the node's running reducers, then handle
   //    map-output loss after the shuffle has started — reducers that have
@@ -1545,20 +1423,9 @@ void JobDriver::fail_node(NodeId node, bool schedule_reoffer) {
     for (std::size_t idx = 0; idx < reduce_tasks_.size(); ++idx) {
       ReduceTask& task = *reduce_tasks_[idx];
       if (task.node != node || task.phase == TaskPhase::kDone) continue;
-      if (task.node == kInvalidNode) continue;  // not yet dispatched
-      if (task.pending_event != kInvalidEvent) {
-        sim_->cancel(task.pending_event);
-        task.pending_event = kInvalidEvent;
-      }
-      if (tracer_ != nullptr && tracer_->task_open(ttok(task.id))) {
-        tracer_->task_end(ttok(task.id), sim_->now(),
-                          {{"status", "requeued"}, {"reason", "node lost"}});
-      }
-      task.node = kInvalidNode;
-      task.phase = TaskPhase::kStarting;
-      task.integrator.reset();
-      --running_reduce_count_;
-      reduce_requeue_.push_back(idx);
+      stop_attempt(task, running_reduce_count_);
+      trace_task_closed(task.id, "requeued", "node lost");
+      requeue_reducer(idx);
     }
 
     if (!job_.map_only() && intermediate_on_node_[node] > 0) {
@@ -1575,42 +1442,22 @@ void JobDriver::fail_node(NodeId node, bool schedule_reoffer) {
         // recovery as the pre-shuffle case), stalling every pre-compute
         // reducer: their fetches cannot finish without the lost outputs.
         reopen_map_phase_for_lost_outputs();
-        for (auto& owned : map_tasks_) {
-          MapTask& task = *owned;
-          if (task.node != node || !task.credited || task.output_lost) {
-            continue;
-          }
-          lose_map_output(task, reclaimed);
-        }
-        intermediate_on_node_[node] = 0.0;
+        lose_outputs_on(node, reclaimed);
       }
     }
   }
 
   scheduler_->on_node_failed(*this, node, reclaimed);
-  if (!done_) {
-    // Data-loss sweep: blocks that just dropped to zero live replicas,
-    // plus blocks whose BUs became unread again through the reclaims
-    // above (their replicas may have been lost in *earlier* failures).
-    std::vector<std::uint32_t> suspects = replica_report.zero;
-    for (const BlockUnitId bu : reclaimed) {
-      suspects.push_back(layout_->bus[bu].block);
-    }
-    std::sort(suspects.begin(), suspects.end());
-    suspects.erase(std::unique(suspects.begin(), suspects.end()),
-                   suspects.end());
-    check_data_loss(suspects);
-  }
+  // Data-loss sweep: blocks that just dropped to zero live replicas, plus
+  // blocks whose BUs became unread again through the reclaims above (their
+  // replicas may have been lost in *earlier* failures).
+  check_data_loss(std::move(replica_report.zero), reclaimed);
   if (!done_ && rm_.total_slots() == 0 &&
       (!injector_ || !injector_->rejoin_pending())) {
     abort_job("every node in the cluster failed");
     return;
   }
-  if (schedule_reoffer) {
-    sim_->schedule_after(0.0, [this]() {
-      if (!done_) rm_.offer_all();
-    });
-  }
+  if (schedule_reoffer) reoffer_soon();
 }
 
 void JobDriver::lose_map_output(MapTask& task,
@@ -1643,6 +1490,16 @@ void JobDriver::lose_map_output(MapTask& task,
   task.bus.clear();
 }
 
+void JobDriver::lose_outputs_on(NodeId node,
+                                std::vector<BlockUnitId>& reclaimed) {
+  for (auto& owned : map_tasks_) {
+    MapTask& task = *owned;
+    if (task.node != node || !task.credited || task.output_lost) continue;
+    lose_map_output(task, reclaimed);
+  }
+  intermediate_on_node_[node] = 0.0;
+}
+
 void JobDriver::reopen_map_phase_for_lost_outputs() {
   // Close the reduce pipeline first so slot releases flow back into map
   // dispatch, then stall every reducer that has not started computing —
@@ -1660,23 +1517,31 @@ void JobDriver::reopen_map_phase_for_lost_outputs() {
         task.phase != TaskPhase::kFetching) {
       continue;
     }
-    if (task.pending_event != kInvalidEvent) {
-      sim_->cancel(task.pending_event);
-      task.pending_event = kInvalidEvent;
-    }
-    if (tracer_ != nullptr && tracer_->task_open(ttok(task.id))) {
-      tracer_->task_end(
-          ttok(task.id), sim_->now(),
-          {{"status", "requeued"}, {"reason", "map output lost"}});
-    }
+    stop_attempt(task, running_reduce_count_);
+    trace_task_closed(task.id, "requeued", "map output lost");
     const NodeId host = task.node;
-    task.node = kInvalidNode;
-    task.phase = TaskPhase::kStarting;
-    task.integrator.reset();
-    --running_reduce_count_;
-    reduce_requeue_.push_back(idx);
+    requeue_reducer(idx);
     rm_.release(host);
   }
+}
+
+void JobDriver::requeue_reducer(std::size_t idx) {
+  ReduceTask& task = *reduce_tasks_[idx];
+  task.node = kInvalidNode;
+  task.phase = TaskPhase::kStarting;
+  task.integrator.reset();
+  reduce_requeue_.push_back(idx);
+}
+
+void JobDriver::check_data_loss(std::vector<std::uint32_t> zero_blocks,
+                                const std::vector<BlockUnitId>& reclaimed) {
+  for (const BlockUnitId bu : reclaimed) {
+    zero_blocks.push_back(layout_->bus[bu].block);
+  }
+  std::sort(zero_blocks.begin(), zero_blocks.end());
+  zero_blocks.erase(std::unique(zero_blocks.begin(), zero_blocks.end()),
+                    zero_blocks.end());
+  check_data_loss(zero_blocks);
 }
 
 void JobDriver::check_data_loss(
@@ -1746,9 +1611,14 @@ void JobDriver::on_block_re_replicated(std::uint32_t block, NodeId target) {
   index_.add_replica(layout_->blocks[block], target);
   scheduler_->on_block_rehosted(*this, block, target);
   // The new local pool may unblock a scheduler that declined its slots.
-  sim_->schedule_after(0.0, [this]() {
-    if (!done_) rm_.offer_all();
-  });
+  reoffer_soon();
+}
+
+void JobDriver::record_replica_lost(NodeId node, std::uint32_t block) {
+  record_fault(layout_->storage.erasure()
+                   ? faults::FaultEventType::kPartLost
+                   : faults::FaultEventType::kReplicaLost,
+               node, kInvalidTask, 0, block);
 }
 
 void JobDriver::on_disk_fault(NodeId node, std::uint32_t disk) {
@@ -1764,23 +1634,16 @@ void JobDriver::on_disk_fault(NodeId node, std::uint32_t disk) {
   const auto report =
       replica_mgr_->on_disk_lost(node, disk, plan_.disks_per_node);
   for (const std::uint32_t block : report.lost) {
-    record_fault(layout_->storage.erasure()
-                     ? faults::FaultEventType::kPartLost
-                     : faults::FaultEventType::kReplicaLost,
-                 node, kInvalidTask, 0, block);
+    record_replica_lost(node, block);
     // The index mirrors the loss so local pools and locality credit stop
     // counting the destroyed copy (it survives node deactivate/restore:
     // a rejoin's block report cannot resurrect a dead disk).
     index_.drop_replica(layout_->blocks[block], node);
   }
   check_data_loss(report.zero);
-  if (!done_) {
-    // Locality changed under the schedulers' feet; re-offer so delay
-    // cursors re-evaluate against the shrunken pools.
-    sim_->schedule_after(0.0, [this]() {
-      if (!done_) rm_.offer_all();
-    });
-  }
+  // Locality changed under the schedulers' feet; re-offer so delay cursors
+  // re-evaluate against the shrunken pools.
+  if (!done_) reoffer_soon();
 }
 
 void JobDriver::on_node_silent(NodeId node) {
@@ -1793,27 +1656,13 @@ void JobDriver::on_node_silent(NodeId node) {
   // node's own re-registration) later turns this into a detected loss.
   for (const TaskId id : live_map_ids_) {
     MapTask& task = *map_tasks_[id];
-    if (task.node != node || task.phase == TaskPhase::kDone) continue;
-    if (task.pending_event != kInvalidEvent) {
-      sim_->cancel(task.pending_event);
-      task.pending_event = kInvalidEvent;
-    }
-    if (task.integrator) task.integrator->set_rate(sim_->now(), 0.0);
-    if (tracer_ != nullptr && tracer_->task_open(ttok(id))) {
-      tracer_->task_instant(ttok(id), "frozen (node silent)", sim_->now());
+    if (task.node == node && task.phase != TaskPhase::kDone) {
+      freeze_attempt(task);
     }
   }
   for (auto& owned : reduce_tasks_) {
-    ReduceTask& task = *owned;
-    if (task.node != node || task.phase == TaskPhase::kDone) continue;
-    if (task.pending_event != kInvalidEvent) {
-      sim_->cancel(task.pending_event);
-      task.pending_event = kInvalidEvent;
-    }
-    if (task.integrator) task.integrator->set_rate(sim_->now(), 0.0);
-    if (tracer_ != nullptr && tracer_->task_open(ttok(task.id))) {
-      tracer_->task_instant(ttok(task.id), "frozen (node silent)",
-                            sim_->now());
+    if (owned->node == node && owned->phase != TaskPhase::kDone) {
+      freeze_attempt(*owned);
     }
   }
 }
@@ -1840,110 +1689,91 @@ void JobDriver::on_node_rejoin(NodeId node) {
     index_.restore_node(node);
   }
   scheduler_->on_node_recovered(*this, node);
-  sim_->schedule_after(0.0, [this]() {
-    if (!done_) rm_.offer_all();
-  });
+  reoffer_soon();
 }
 
-void JobDriver::map_attempt_fail(TaskId id) {
-  MapTask& task = *map_tasks_[id];
+void JobDriver::map_attempt_fail(std::size_t idx) {
+  MapTask& task = *map_tasks_[idx];
   FLEXMR_ASSERT(task.phase != TaskPhase::kDone);
-  task.pending_event = kInvalidEvent;  // the failure event itself fired
-  task.phase = TaskPhase::kDone;
-  --running_map_count_;
-
+  const TaskId id = task.id;
   const NodeId node = task.node;
   const bool launch_failure = task.planned_fault == PlannedFault::kLaunchFail;
-  const MiB consumed =
-      task.integrator ? task.integrator->done(sim_->now()) : 0.0;
+  const MiB consumed = stop_attempt(task, running_map_count_);
   record_map(task, TaskStatus::kFailed, consumed, 0);
   trace_task_closed(id, "failed",
                     launch_failure ? "launch failure" : "attempt failure",
                     consumed);
 
+  // A surviving twin covers this work, so the failure costs nothing but
+  // the dead attempt's slot time; otherwise its BUs are charged.
   std::vector<BlockUnitId> reclaimed;
-  std::uint32_t worst_attempts = 0;
-  BlockUnitId worst_bu = 0;
-  if (task.twin != kInvalidTask) {
-    // The surviving twin covers this work; the failure costs nothing but
-    // the dead attempt's slot time. BU ownership moves to the twin.
-    MapTask& twin = *map_tasks_[task.twin];
-    twin.twin = kInvalidTask;
-    task.twin = kInvalidTask;
-    if (task.owns_bus) {
-      twin.owns_bus = true;
-      task.owns_bus = false;
-    }
-    task.bus.clear();
-  } else if (task.owns_bus) {
-    for (const BlockUnitId bu : task.bus) {
-      const std::uint32_t attempts = ++bu_attempt_failures_[bu];
-      if (journal_ != nullptr) journal_->record_bu_attempt_failure(bu);
-      if (attempts > worst_attempts) {
-        worst_attempts = attempts;
-        worst_bu = bu;
-      }
-    }
-    index_.put_back(task.bus);
-    reclaimed = std::move(task.bus);
-    task.bus.clear();
-    task.size = 0;
-  } else {
-    task.bus.clear();  // non-owning copy: duplicate of the owner's list
-  }
-
+  release_bus(task, /*twin_survives=*/true, reclaimed);
+  const auto [worst_bu, worst_attempts] = charge_bu_attempts(reclaimed);
   record_fault(launch_failure ? faults::FaultEventType::kLaunchFailure
                               : faults::FaultEventType::kAttemptFailure,
                node, id, worst_attempts);
-  note_node_attempt_failure(node);
-  if (worst_attempts >= plan_.max_attempts) {
-    abort_job("map input unit " + std::to_string(worst_bu) + " failed " +
-              std::to_string(worst_attempts) + " attempts");
-  }
+  charge_failure(node, "map input unit", worst_bu, worst_attempts);
   if (!done_) scheduler_->on_attempt_failed(*this, node, reclaimed);
   rm_.release(node);
-  sim_->schedule_after(0.0, [this]() {
-    if (!done_) rm_.offer_all();
-  });
+  reoffer_soon();
+}
+
+void JobDriver::release_bus(MapTask& task, bool twin_survives,
+                            std::vector<BlockUnitId>& reclaimed) {
+  if (task.twin != kInvalidTask) {
+    MapTask& twin = *map_tasks_[task.twin];
+    twin.twin = kInvalidTask;
+    task.twin = kInvalidTask;
+    if (twin_survives && task.owns_bus) {
+      // The twin covers this work now — and inherits the duty of
+      // returning the BUs should it die too.
+      twin.owns_bus = true;
+      task.owns_bus = false;
+    }
+  }
+  if (task.owns_bus) {
+    index_.put_back(task.bus);
+    reclaimed.insert(reclaimed.end(), task.bus.begin(), task.bus.end());
+    task.size = 0;
+  }
+  task.bus.clear();  // a non-owning list duplicates the owner's
+}
+
+std::pair<BlockUnitId, std::uint32_t> JobDriver::charge_bu_attempts(
+    const std::vector<BlockUnitId>& bus) {
+  std::pair<BlockUnitId, std::uint32_t> worst{0, 0};
+  for (const BlockUnitId bu : bus) {
+    const std::uint32_t attempts = ++bu_attempt_failures_[bu];
+    if (journal_ != nullptr) journal_->record_bu_attempt_failure(bu);
+    if (attempts > worst.second) worst = {bu, attempts};
+  }
+  return worst;
+}
+
+void JobDriver::charge_failure(NodeId node, const char* unit,
+                               std::uint64_t id, std::uint32_t attempts) {
+  note_node_attempt_failure(node);
+  if (attempts >= plan_.max_attempts) {
+    abort_job(std::string(unit) + " " + std::to_string(id) + " failed " +
+              std::to_string(attempts) + " attempts");
+  }
 }
 
 void JobDriver::reduce_attempt_fail(std::size_t idx) {
   ReduceTask& task = *reduce_tasks_[idx];
   FLEXMR_ASSERT(task.phase != TaskPhase::kDone);
-  task.pending_event = kInvalidEvent;
-
   const NodeId node = task.node;
   const bool launch_failure = task.planned_fault == PlannedFault::kLaunchFail;
-  const MiB consumed =
-      task.integrator ? task.integrator->done(sim_->now()) : 0.0;
+  const MiB consumed = stop_attempt(task, running_reduce_count_);
+  record_reduce(task, TaskStatus::kFailed, consumed, 1.0);
+  trace_task_closed(task.id, "failed",
+                    launch_failure ? "launch failure" : "attempt failure",
+                    consumed);
 
-  TaskRecord rec;
-  rec.id = task.id;
-  rec.node = node;
-  rec.kind = TaskKind::kReduce;
-  rec.status = TaskStatus::kFailed;
-  rec.dispatch_time = task.dispatch_time;
-  rec.compute_start = task.compute_start;
-  rec.end_time = sim_->now();
-  rec.input_mib = consumed;
-  rec.phase_progress_at_end = 1.0;
-  result_.tasks.push_back(rec);
-  if (tracer_ != nullptr && tracer_->task_open(ttok(rec.id))) {
-    tracer_->task_end(
-        ttok(rec.id), sim_->now(),
-        {{"status", "failed"},
-         {"reason", launch_failure ? "launch failure" : "attempt failure"},
-         {"consumed_mib", consumed}});
-  }
-
-  --running_reduce_count_;
-  task.node = kInvalidNode;
-  task.phase = TaskPhase::kStarting;
-  task.integrator.reset();
+  requeue_reducer(idx);
   task.compute_start = 0;
   task.planned_fault = PlannedFault::kNone;
   task.fail_frac = 0;
-  reduce_requeue_.push_back(idx);
 
   const std::uint32_t attempts = ++reduce_attempt_failures_[idx];
   if (journal_ != nullptr) {
@@ -1951,16 +1781,10 @@ void JobDriver::reduce_attempt_fail(std::size_t idx) {
   }
   record_fault(launch_failure ? faults::FaultEventType::kLaunchFailure
                               : faults::FaultEventType::kAttemptFailure,
-               node, rec.id, attempts);
-  note_node_attempt_failure(node);
-  if (attempts >= plan_.max_attempts) {
-    abort_job("reduce task " + std::to_string(rec.id) + " failed " +
-              std::to_string(attempts) + " attempts");
-  }
+               node, task.id, attempts);
+  charge_failure(node, "reduce task", task.id, attempts);
   rm_.release(node);
-  sim_->schedule_after(0.0, [this]() {
-    if (!done_) rm_.offer_all();
-  });
+  reoffer_soon();
 }
 
 void JobDriver::note_node_attempt_failure(NodeId node) {
@@ -2003,27 +1827,21 @@ void JobDriver::on_speed_change(NodeId node) {
   // simulations); a finished job has nothing left to re-rate. Tasks on a
   // silently-dead node are frozen at rate 0 and must not be re-rated.
   if (done_ || silent_nodes_.count(node) > 0) return;
+  // A doomed attempt dies at its pre-drawn wall-clock moment; only the
+  // progress it wastes is re-rated, not the death itself.
   for (const TaskId id : live_map_ids_) {
     MapTask& task = *map_tasks_[id];
     if (task.node != node || task.phase != TaskPhase::kComputing) continue;
     task.integrator->set_rate(sim_->now(), map_rate(task));
-    // A doomed attempt dies at its pre-drawn wall-clock moment; only the
-    // progress it wastes is re-rated, not the death itself.
     if (task.planned_fault == PlannedFault::kAttemptFail) continue;
-    reschedule_map_completion(task);
+    schedule_compute_end(task, id, kMapSteps);
   }
   for (std::size_t idx = 0; idx < reduce_tasks_.size(); ++idx) {
     ReduceTask& task = *reduce_tasks_[idx];
     if (task.node != node || task.phase != TaskPhase::kComputing) continue;
     task.integrator->set_rate(sim_->now(), reduce_rate(task));
     if (task.planned_fault == PlannedFault::kAttemptFail) continue;
-    if (task.pending_event != kInvalidEvent) {
-      sim_->cancel(task.pending_event);
-    }
-    const auto eta = task.integrator->eta(sim_->now());
-    FLEXMR_ASSERT(eta.has_value());
-    task.pending_event =
-        sim_->schedule_at(*eta, [this, idx]() { reduce_complete(idx); });
+    schedule_compute_end(task, idx, kReduceSteps);
   }
 }
 
@@ -2218,12 +2036,12 @@ void JobDriver::trace_map_begin(const MapTask& task) {
 }
 
 void JobDriver::trace_task_closed(TaskId id, const char* status,
-                                  const char* reason, MiB consumed) {
+                                  const char* reason,
+                                  std::optional<MiB> consumed) {
   if (tracer_ == nullptr || !tracer_->task_open(ttok(id))) return;
-  tracer_->task_end(ttok(id), sim_->now(),
-                    {{"status", status},
-                     {"reason", reason},
-                     {"consumed_mib", consumed}});
+  obs::TraceArgs args{{"status", status}, {"reason", reason}};
+  if (consumed) args.emplace_back("consumed_mib", *consumed);
+  tracer_->task_end(ttok(id), sim_->now(), std::move(args));
 }
 
 void JobDriver::trace_finish() {

@@ -22,6 +22,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -112,26 +113,13 @@ class JobDriver final : public DriverContext {
   /// Offers one free container on `node`; returns true if consumed.
   /// (The RM calls this through the installed handler in single-job mode;
   /// a coordinator calls it directly in shared mode.)
-  bool offer(NodeId node) { return handle_offer(node); }
+  bool offer(NodeId node);
 
   /// Containers currently held by this job (running maps + reduces).
   std::uint32_t slots_in_use() const {
     return static_cast<std::uint32_t>(running_map_count_ +
                                       running_reduce_count_);
   }
-
-  /// Legacy failure injection: node `node` dies at absolute sim time
-  /// `time`, with *oracle* (instant) detection — equivalent to a
-  /// FaultPlan crash with silent=false and no rejoin. Must be called
-  /// before run(); throws ConfigError on an out-of-range node or a
-  /// negative time. Semantics on detection: the node's containers are
-  /// killed, its slots withdrawn, and the *input* of every map whose
-  /// output lived on the node is re-executed elsewhere (the standard
-  /// MapReduce recovery path). If the shuffle has already started and
-  /// some reducer still needs the lost outputs, the map phase re-opens
-  /// for those inputs and pre-compute reducers stall until the outputs
-  /// are regenerated.
-  void schedule_node_failure(NodeId node, SimTime time);
 
   /// Cluster-level failure notification from a shared-RM coordinator: the
   /// coordinator has already marked the node dead on the RM (exactly once,
@@ -154,8 +142,7 @@ class JobDriver final : public DriverContext {
   /// rejoin, silent death with heartbeat-expiry detection, degradation
   /// windows, per-attempt transient/launch failures, retry/blacklist
   /// knobs). Must be called before run(); single-job mode only. The plan
-  /// is validated (ConfigError) at start(). Legacy schedule_node_failure
-  /// entries are merged in as non-silent crashes.
+  /// is validated (ConfigError) at start().
   void install_faults(faults::FaultPlan plan);
 
   // ---- AM crash + journaled recovery (recover::RecoveryRunner) ----------
@@ -279,9 +266,23 @@ class JobDriver final : public DriverContext {
   /// fraction of the way through its compute.
   enum class PlannedFault { kNone, kLaunchFail, kAttemptFail };
 
-  struct MapTask {
+  /// One attempt's lifecycle state, shared by maps and reduces.
+  struct Attempt {
     TaskId id = 0;
-    NodeId node = 0;
+    NodeId node = kInvalidNode;  ///< Assigned at dispatch.
+    /// Per-attempt execution-time multiplier (GC pauses, I/O variance —
+    /// lognormal with unit mean). Twins draw independently.
+    double exec_noise = 1.0;
+    SimTime dispatch_time = 0;
+    SimTime compute_start = 0;
+    TaskPhase phase = TaskPhase::kStarting;
+    PlannedFault planned_fault = PlannedFault::kNone;
+    double fail_frac = 0;  ///< Compute fraction at which it dies.
+    std::optional<RateIntegrator> integrator;
+    EventId pending_event = kInvalidEvent;
+  };
+
+  struct MapTask : Attempt {
     std::vector<BlockUnitId> bus;
     MiB size = 0;
     double avg_cost = 1.0;       ///< Size-weighted mean BU cost.
@@ -296,32 +297,13 @@ class JobDriver final : public DriverContext {
     /// killed — without the transfer, a second failure hitting the twin
     /// would silently drop the BUs (exactly-once violation).
     bool owns_bus = true;
-    /// Per-attempt execution-time multiplier (GC pauses, I/O variance —
-    /// lognormal with unit mean). Twins draw independently.
-    double exec_noise = 1.0;
-    SimTime dispatch_time = 0;
-    SimTime compute_start = 0;
-    TaskPhase phase = TaskPhase::kStarting;
-    PlannedFault planned_fault = PlannedFault::kNone;
-    double fail_frac = 0;        ///< Compute fraction at which it dies.
-    std::optional<RateIntegrator> integrator;
-    EventId pending_event = kInvalidEvent;
   };
 
-  struct ReduceTask {
-    TaskId id = 0;
-    NodeId node = kInvalidNode;  ///< Assigned at dispatch (late binding).
-    double share = 0;            ///< Fraction of intermediate data.
+  /// Reducers bind to a node at dispatch (late binding).
+  struct ReduceTask : Attempt {
+    double share = 0;  ///< Fraction of intermediate data.
     MiB input = 0;
     MiB remote = 0;
-    double exec_noise = 1.0;
-    SimTime dispatch_time = 0;
-    SimTime compute_start = 0;
-    TaskPhase phase = TaskPhase::kStarting;
-    PlannedFault planned_fault = PlannedFault::kNone;
-    double fail_frac = 0;
-    std::optional<RateIntegrator> integrator;
-    EventId pending_event = kInvalidEvent;
     /// Map-output hosts whose fetch failed this attempt, FIFO. The reducer
     /// retries the front source with exponential backoff and reports each
     /// failure to the AM (Hadoop's fetch-failure notification).
@@ -329,13 +311,50 @@ class JobDriver final : public DriverContext {
     std::uint32_t fetch_attempt = 0;  ///< Retries against the front source.
   };
 
-  bool handle_offer(NodeId node);
+  /// An attempt's event handlers, keyed by task index (the map id, or
+  /// the reducer's index).
+  using Step = void (JobDriver::*)(std::size_t);
+  struct Steps {
+    Step start;     ///< Container started.
+    Step complete;  ///< Compute finished.
+    Step fail;      ///< Launch failure or planned attempt failure.
+  };
+  static const Steps kMapSteps;
+  static const Steps kReduceSteps;
+
+  /// Draws a freshly dispatched attempt's exec noise from rng_, then its
+  /// planned launch/attempt failure from the injector.
+  void draw_fate(Attempt& task);
+  /// Schedules container startup: nothing on a silently-dead node (the
+  /// container never comes up), the launch failure, or `steps.start`.
+  void schedule_startup(Attempt& task, std::size_t key, SimDuration startup,
+                        const Steps& steps);
+  /// (Re)schedules the end of compute from the integrator's ETA: the
+  /// planned attempt failure, or `steps.complete`.
+  void schedule_compute_end(Attempt& task, std::size_t key,
+                            const Steps& steps);
+  /// Cancels the attempt's pending event, marks it done, decrements
+  /// `running` and returns the MiB it consumed.
+  MiB stop_attempt(Attempt& task, std::size_t& running);
+  /// Stops reacting to a silently-dead node's attempt: no pending event,
+  /// progress frozen at rate 0.
+  void freeze_attempt(Attempt& task);
+  /// Deferred offer round, dropped once the job is done.
+  void reoffer_soon();
+
   void dispatch_map(NodeId node, MapLaunch launch);
-  void map_compute_start(TaskId id);
-  void map_complete(TaskId id);
+  void map_compute_start(std::size_t id);
+  void map_complete(std::size_t id);
   void kill_map(TaskId id, TaskStatus final_status);
   void record_map(const MapTask& task, TaskStatus status, MiB consumed,
                   std::uint32_t credited_bus);
+  void record_reduce(const ReduceTask& task, TaskStatus status, MiB input,
+                     double phase_progress);
+  /// Returns a dead map attempt's BU list: a surviving twin takes over the
+  /// work (and the ownership duty); otherwise the owner puts the BUs back
+  /// in the index and appends them to `reclaimed`.
+  void release_bus(MapTask& task, bool twin_survives,
+                   std::vector<BlockUnitId>& reclaimed);
   void finish_map_phase();
 
   /// Plans the reduce phase. `forced_total` > 0 pins the reducer count to
@@ -350,6 +369,8 @@ class JobDriver final : public DriverContext {
   void report_fetch_failure(NodeId host);
   void reduce_compute_start(std::size_t idx);
   void reduce_complete(std::size_t idx);
+  /// Puts a stopped reducer back in the requeue lane, unbound.
+  void requeue_reducer(std::size_t idx);
 
   void heartbeat();
   void on_speed_change(NodeId node);
@@ -366,8 +387,16 @@ class JobDriver final : public DriverContext {
   void ensure_replica_manager();
   void on_node_silent(NodeId node);
   void on_node_rejoin(NodeId node);
-  void map_attempt_fail(TaskId id);
+  void map_attempt_fail(std::size_t id);
   void reduce_attempt_fail(std::size_t idx);
+  /// Charges one failed attempt to every BU in `bus`; returns the most-
+  /// failed BU and its failure count.
+  std::pair<BlockUnitId, std::uint32_t> charge_bu_attempts(
+      const std::vector<BlockUnitId>& bus);
+  /// Charges a failed attempt to `node`'s blacklist score, then aborts the
+  /// job when `unit` `id` has failed max_attempts times.
+  void charge_failure(NodeId node, const char* unit, std::uint64_t id,
+                      std::uint32_t attempts);
   void note_node_attempt_failure(NodeId node);
   bool blacklist_saturated() const;
   void abort_job(const std::string& reason);
@@ -380,12 +409,20 @@ class JobDriver final : public DriverContext {
   /// `reclaimed`), processed counters roll back, its record is relabeled
   /// kLostOutput.
   void lose_map_output(MapTask& task, std::vector<BlockUnitId>& reclaimed);
+  /// Loses the credited output of every map that ran on `node`.
+  void lose_outputs_on(NodeId node, std::vector<BlockUnitId>& reclaimed);
+  /// Records a replica (or rs(k,m) part) of `block` lost on `node`.
+  void record_replica_lost(NodeId node, std::uint32_t block);
   /// Re-opens the map phase after output loss: stalls every reducer that
   /// has not started computing and requeues it for redispatch.
   void reopen_map_phase_for_lost_outputs();
   /// Aborts with DataLossError semantics if any `suspect` block has zero
   /// live replicas, unread BUs, and no dead holder with a rejoin pending.
   void check_data_loss(const std::vector<std::uint32_t>& suspect_blocks);
+  /// The same sweep over `zero_blocks` plus the blocks of the `reclaimed`
+  /// BUs (unread again), deduplicated in ascending block order.
+  void check_data_loss(std::vector<std::uint32_t> zero_blocks,
+                       const std::vector<BlockUnitId>& reclaimed);
   /// NameNode re-replication pipeline callback: a copy of `block` (or a
   /// reconstructed rs(k,m) part) landed on `target`.
   void on_block_re_replicated(std::uint32_t block, NodeId target);
@@ -402,7 +439,6 @@ class JobDriver final : public DriverContext {
 
   double map_rate(const MapTask& task) const;
   double reduce_rate(const ReduceTask& task) const;
-  void reschedule_map_completion(MapTask& task);
   void finish_job();
 
   /// Shared core of kill_and_reclaim / preempt_one_map: stop `id`, credit
@@ -415,7 +451,7 @@ class JobDriver final : public DriverContext {
   void trace_end_phase();
   void trace_map_begin(const MapTask& task);
   void trace_task_closed(TaskId id, const char* status, const char* reason,
-                         MiB consumed);
+                         std::optional<MiB> consumed = std::nullopt);
   void trace_finish();
   /// Task id → tracer token under this job's namespace.
   std::uint64_t ttok(TaskId id) const { return trace_ns_.token_base + id; }
@@ -465,9 +501,8 @@ class JobDriver final : public DriverContext {
   std::size_t reducers_started_snapshot_ = 0;
   bool reduce_force_dispatch_ = false;
   std::vector<std::size_t> reduce_requeue_;  ///< Reducers lost to failures.
-  std::vector<std::pair<NodeId, SimTime>> planned_failures_;
-  /// Fault plan installed before start(); merged with planned_failures_
-  /// and validated at start(). Empty plan == no fault machinery at all.
+  /// Fault plan installed before start() and validated there. Empty plan
+  /// == no fault machinery at all.
   faults::FaultPlan plan_;
   std::unique_ptr<faults::FaultInjector> injector_;
   /// Live NameNode view (created iff the fault plan is non-empty): per-

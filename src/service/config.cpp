@@ -1,6 +1,6 @@
 #include "service/config.hpp"
 
-#include <cstdlib>
+#include <cctype>
 
 #include "common/error.hpp"
 
@@ -68,6 +68,17 @@ workloads::SchedulerKind parse_scheduler_kind(const std::string& name) {
   throw ConfigError("unknown scheduler: " + name);
 }
 
+std::vector<std::pair<NodeId, SimTime>> parse_node_failures(
+    const Config& config) {
+  std::vector<std::pair<NodeId, SimTime>> failures;
+  for (int i = 1;; ++i) {
+    const auto spec = config.get_id_at("failures.node" + std::to_string(i));
+    if (!spec) break;
+    failures.emplace_back(spec->first, spec->second);
+  }
+  return failures;
+}
+
 mr::SharePolicy parse_share_policy(const std::string& name) {
   if (name == "fifo") return mr::SharePolicy::kFifo;
   if (name == "fair") return mr::SharePolicy::kFair;
@@ -121,33 +132,16 @@ ServiceConfig parse_service_config(const Config& config) {
     out.tenants.push_back(std::move(tenant));
   }
 
-  for (int i = 1;; ++i) {
-    const auto value = config.get("failures.node" + std::to_string(i));
-    if (!value) break;
-    const auto at = value->find('@');
-    if (at == std::string::npos) {
-      throw ConfigError("failure spec must be '<node> @ <time>': " + *value);
-    }
-    out.node_failures.emplace_back(
-        static_cast<NodeId>(std::stoul(value->substr(0, at))),
-        std::stod(value->substr(at + 1)));
-  }
+  out.node_failures = parse_node_failures(config);
 
   // [am] — AM-crash injection: crashN = '<job> @ <seconds after admission>'.
   out.am_max_attempts = static_cast<std::uint32_t>(
       config.get_int("am.max_attempts", 2));
   out.am_restart_delay_s = config.get_double("am.restart_delay_s", 10.0);
   for (int i = 1;; ++i) {
-    const auto value = config.get("am.crash" + std::to_string(i));
-    if (!value) break;
-    const auto at = value->find('@');
-    if (at == std::string::npos) {
-      throw ConfigError("AM crash spec must be '<job> @ <offset>': " +
-                        *value);
-    }
-    out.am_crashes.emplace_back(
-        static_cast<std::size_t>(std::stoul(value->substr(0, at))),
-        std::stod(value->substr(at + 1)));
+    const auto spec = config.get_id_at("am.crash" + std::to_string(i));
+    if (!spec) break;
+    out.am_crashes.emplace_back(spec->first, spec->second);
   }
   return out;
 }

@@ -34,6 +34,8 @@
 #pragma once
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "common/config.hpp"
@@ -51,6 +53,11 @@ ServiceConfig parse_service_config(const Config& config);
 /// "hadoop" | "hadoop-nospec" | "skewtune" | "flexmap" | "flexmap-nov" |
 /// "flexmap-noh" | "flexmap-norb".
 workloads::SchedulerKind parse_scheduler_kind(const std::string& name);
+
+/// [failures] nodeN = '<node> @ <seconds>' entries, N = 1, 2, ... until
+/// the first gap. Throws ConfigError on a malformed entry.
+std::vector<std::pair<NodeId, SimTime>> parse_node_failures(
+    const Config& config);
 
 /// "fifo" | "fair" | "weighted-fair".
 mr::SharePolicy parse_share_policy(const std::string& name);

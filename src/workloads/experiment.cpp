@@ -71,9 +71,6 @@ mr::JobResult run_job(cluster::Cluster& cluster, const Benchmark& bench,
   for (const auto& crash : config.faults.crashes) {
     if (crash.at <= 0.0) --alive0;
   }
-  for (const auto& [node, time] : config.node_failures) {
-    if (time <= 0.0) --alive0;
-  }
   config.storage.validate(alive0);
   const auto layout =
       make_layout(bench, scale, cluster.num_nodes(), config.block_size,
@@ -84,13 +81,8 @@ mr::JobResult run_job(cluster::Cluster& cluster, const Benchmark& bench,
     // permanently done() without finishing, and only the runner can play
     // YARN's re-launch role. Crash-free plans stay on the plain path below
     // (byte-identical to builds without recovery code).
-    faults::FaultPlan plan = config.faults;
-    for (const auto& [node, time] : config.node_failures) {
-      plan.crashes.push_back(
-          faults::NodeCrash{node, time, std::nullopt, /*silent=*/false});
-    }
     recover::RecoveryRunner runner(sim, cluster, layout, spec, config.params,
-                                   scheduler, std::move(plan), config.trace);
+                                   scheduler, config.faults, config.trace);
     auto result = runner.run();
     result.scheduler = scheduler.name();
     return result;
@@ -98,9 +90,6 @@ mr::JobResult run_job(cluster::Cluster& cluster, const Benchmark& bench,
   mr::JobDriver driver(sim, cluster, layout, spec, config.params, scheduler);
   if (config.trace != nullptr) driver.set_trace(config.trace);
   if (!config.faults.empty()) driver.install_faults(config.faults);
-  for (const auto& [node, time] : config.node_failures) {
-    driver.schedule_node_failure(node, time);
-  }
   auto result = driver.run();
   result.scheduler = scheduler.name();
   return result;

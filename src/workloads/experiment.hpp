@@ -48,9 +48,6 @@ struct RunConfig {
   /// against the nodes alive at t=0 before the layout is built.
   hdfs::StoragePolicy storage;
   mr::SimParams params;  ///< params.seed controls the whole run.
-  /// Failure injection: (node, time) pairs applied before the run starts.
-  /// Legacy oracle-detected crashes; merged into `faults` by the driver.
-  std::vector<std::pair<NodeId, SimTime>> node_failures;
   /// Declarative fault plan (crashes with rejoin, transient attempt
   /// failures, launch failures, degradation windows). Empty = no faults.
   faults::FaultPlan faults;

@@ -64,6 +64,46 @@ inline constexpr GoldenCase kFaultCases[] = {
      "Faults-FlexMap", 0x4a019693852e41faull},
 };
 
+// The fault paths the silent-crash plan above never reaches: oracle
+// (non-silent) crash detection, both before the shuffle (credited outputs
+// re-execute) and after it starts (running reducers requeue and the map
+// phase re-opens), container launch failures and a single-disk fault.
+// The second crash lands inside each scheduler's own shuffle window, so
+// its time is per case.
+struct OracleFaultCase {
+  GoldenCase golden;
+  SimTime shuffle_crash_at;
+};
+
+inline constexpr OracleFaultCase kOracleFaultCases[] = {
+    {{workloads::SchedulerKind::kHadoop, kLargeBlockMiB, "Oracle-Hadoop-128m",
+      0x97910be5718970f5ull},
+     79.0},
+    {{workloads::SchedulerKind::kHadoop, kDefaultBlockMiB, "Oracle-Hadoop-64m",
+      0x9579f5bde34af4c4ull},
+     86.0},
+    {{workloads::SchedulerKind::kSkewTune, kDefaultBlockMiB,
+      "Oracle-SkewTune-64m", 0x3923b2f5a59b959bull},
+     74.0},
+    {{workloads::SchedulerKind::kFlexMap, kDefaultBlockMiB, "Oracle-FlexMap",
+      0x3dd33c10b8fe1ad4ull},
+     75.0},
+};
+
+/// Node crashed by the oracle plan once the shuffle has started.
+inline constexpr NodeId kOracleShuffleCrashNode = 11;
+
+inline faults::FaultPlan oracle_fault_plan(SimTime shuffle_crash_at) {
+  faults::FaultPlan plan;
+  plan.crashes = {
+      faults::NodeCrash{5, 20.0, std::nullopt, /*silent=*/false},
+      faults::NodeCrash{kOracleShuffleCrashNode, shuffle_crash_at,
+                        std::nullopt, /*silent=*/false}};
+  plan.container_launch_failure_prob = 0.02;
+  plan.disk_faults = {faults::DiskFault{8, 1, 30.0}};
+  return plan;
+}
+
 /// The mid-map AM-crash golden pinned by test_recovery.cpp (the ninth
 /// hash): crash at t=40 under kHadoop on the same 20-node cluster.
 inline constexpr std::uint64_t kMidMapAmCrashGolden = 0xc4fd10a581aa81e8ull;
@@ -77,9 +117,10 @@ inline faults::FaultPlan golden_fault_plan() {
 }
 
 /// One golden run on the paper's 20-node virtual cluster, returning the
-/// JobResult JSON.
+/// JobResult JSON (and the result itself through `out`, when given).
 inline std::string run_case(const GoldenCase& c, const faults::FaultPlan& plan,
-                            obs::TraceSession* trace = nullptr) {
+                            obs::TraceSession* trace = nullptr,
+                            mr::JobResult* out = nullptr) {
   auto cluster = cluster::presets::virtual20();
   workloads::RunConfig config;
   config.block_size = c.block_size;
@@ -89,6 +130,7 @@ inline std::string run_case(const GoldenCase& c, const faults::FaultPlan& plan,
   const auto result =
       workloads::run_job(cluster, workloads::benchmark("WC"),
                          workloads::InputScale::kSmall, c.kind, config);
+  if (out != nullptr) *out = result;
   return mr::job_result_json(result, cluster);
 }
 

@@ -1,8 +1,13 @@
 // INI-style Config reader.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+
 #include "common/config.hpp"
 #include "common/error.hpp"
+#include "service/config.hpp"
 
 namespace flexmr {
 namespace {
@@ -80,6 +85,47 @@ TEST(Config, SetOverrides) {
 
 TEST(Config, LoadMissingFileThrows) {
   EXPECT_THROW(Config::load("/nonexistent/path/file.ini"), ConfigError);
+}
+
+TEST(Config, IdAtSpecParsesWholeTokens) {
+  const auto config = Config::parse("a = 3 @ 25\nb =  7@0.5\n");
+  EXPECT_EQ(config.get_id_at("a"), (std::pair<std::uint32_t, double>{3, 25}));
+  EXPECT_EQ(config.get_id_at("b"), (std::pair<std::uint32_t, double>{7, 0.5}));
+  EXPECT_FALSE(config.get_id_at("missing").has_value());
+  for (const char* bad : {"3", "@ 5", "3 @", "3 @ 5 @ 6", "3 @ inf",
+                          "+3 @ 5", "4294967296 @ 5", "3 @ 1e999"}) {
+    const auto parsed = Config::parse(std::string("k = ") + bad + "\n");
+    EXPECT_THROW(parsed.get_id_at("k"), ConfigError) << bad;
+  }
+}
+
+// `[failures] nodeN` and `[am] crashN` specs used to go through
+// std::stoul/std::stod: a trailing suffix was silently dropped ("3x @ 25s"
+// read as node 3 at 25 s), a non-number escaped as std::invalid_argument,
+// and "-1" wrapped around to a huge id.
+TEST(Config, ServiceIdAtSpecsRejectGarbage) {
+  for (const char* bad : {"3x @ 25s", "3 @ soon", "-1 @ 5"}) {
+    for (const std::string key : {"[failures]\nnode1", "[am]\ncrash1"}) {
+      const auto config = Config::parse(key + " = " + bad + "\n");
+      try {
+        service::parse_service_config(config);
+        ADD_FAILURE() << key << " = " << bad << " was accepted";
+      } catch (const ConfigError& error) {
+        const std::string name = key.substr(key.find(']') + 2);
+        EXPECT_NE(std::string(error.what()).find(name), std::string::npos)
+            << error.what();
+      } catch (const std::exception& error) {
+        ADD_FAILURE() << key << " = " << bad << " threw " << error.what();
+      }
+    }
+  }
+  const auto good = service::parse_service_config(
+      Config::parse("[failures]\nnode1 = 3 @ 25\n[am]\ncrash1 = 0 @ 20.0\n"));
+  ASSERT_EQ(good.node_failures.size(), 1u);
+  EXPECT_EQ(good.node_failures[0], (std::pair<NodeId, SimTime>{3, 25.0}));
+  ASSERT_EQ(good.am_crashes.size(), 1u);
+  EXPECT_EQ(good.am_crashes[0].first, 0u);
+  EXPECT_DOUBLE_EQ(good.am_crashes[0].second, 20.0);
 }
 
 TEST(Config, LastDuplicateWins) {

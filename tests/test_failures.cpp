@@ -2,6 +2,10 @@
 // invariant under failures, across all schedulers.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <optional>
+#include <utility>
+
 #include "cluster/presets.hpp"
 #include "workloads/experiment.hpp"
 
@@ -30,12 +34,24 @@ void check_exactly_once(const mr::JobResult& result,
   EXPECT_EQ(credited, total_bus);
 }
 
+/// Permanent crashes with oracle (instant) detection: the node's containers
+/// die and its slots leave the RM at exactly the crash time.
+faults::FaultPlan oracle_crashes(
+    std::initializer_list<std::pair<NodeId, SimTime>> crashes) {
+  faults::FaultPlan plan;
+  for (const auto& [node, at] : crashes) {
+    plan.crashes.push_back(
+        faults::NodeCrash{node, at, std::nullopt, /*silent=*/false});
+  }
+  return plan;
+}
+
 class FailureSweep : public ::testing::TestWithParam<SchedulerKind> {};
 
 TEST_P(FailureSweep, MidMapPhaseFailureStillCompletes) {
   auto cluster = cluster::presets::homogeneous6();
   RunConfig config;
-  config.node_failures = {{2, 20.0}};  // mid map phase
+  config.faults = oracle_crashes({{2, 20.0}});  // mid map phase
   const auto result = workloads::run_job(
       cluster, bench_with(2048.0, 0.25), InputScale::kSmall, GetParam(),
       config);
@@ -53,7 +69,7 @@ TEST_P(FailureSweep, LostOutputsAreReexecuted) {
   RunConfig config;
   // 4096 MiB → ~2.7 waves of 64 MB maps (~25 s map phase); at t=12 the
   // first wave on node 0 has completed but the phase is far from done.
-  config.node_failures = {{0, 12.0}};
+  config.faults = oracle_crashes({{0, 12.0}});
   const auto result = workloads::run_job(
       cluster, bench_with(4096.0, 0.5), InputScale::kSmall, GetParam(),
       config);
@@ -67,7 +83,7 @@ TEST_P(FailureSweep, LostOutputsAreReexecuted) {
 TEST_P(FailureSweep, MapOnlyJobKeepsDeadNodesOutputs) {
   auto cluster = cluster::presets::homogeneous6();
   RunConfig config;
-  config.node_failures = {{1, 30.0}};
+  config.faults = oracle_crashes({{1, 30.0}});
   const auto result = workloads::run_job(
       cluster, bench_with(2048.0, 0.0), InputScale::kSmall, GetParam(),
       config);
@@ -88,7 +104,7 @@ TEST_P(FailureSweep, FailureDuringReducePhaseRequeuesReducers) {
   const SimTime fail_at =
       reference.map_phase_end + reference.jct() * 0.02 + 1.0;
   RunConfig config;
-  config.node_failures = {{3, fail_at}};
+  config.faults = oracle_crashes({{3, fail_at}});
   auto cluster2 = cluster::presets::homogeneous6();
   const auto result = workloads::run_job(
       cluster2, bench_with(1024.0, 1.0), InputScale::kSmall, GetParam(),
@@ -107,7 +123,7 @@ TEST_P(FailureSweep, FailureDuringReducePhaseRequeuesReducers) {
 TEST_P(FailureSweep, MultipleFailures) {
   auto cluster = cluster::presets::physical12();
   RunConfig config;
-  config.node_failures = {{5, 15.0}, {9, 40.0}};
+  config.faults = oracle_crashes({{5, 15.0}, {9, 40.0}});
   const auto result = workloads::run_job(
       cluster, bench_with(2048.0, 0.25), InputScale::kSmall, GetParam(),
       config);
@@ -121,7 +137,7 @@ TEST_P(FailureSweep, FailureCostsTimeButBoundedly) {
       GetParam(), RunConfig{});
   auto cluster = cluster::presets::homogeneous6();
   RunConfig config;
-  config.node_failures = {{2, 20.0}};
+  config.faults = oracle_crashes({{2, 20.0}});
   const auto failed = workloads::run_job(
       cluster, bench_with(2048.0, 0.25), InputScale::kSmall, GetParam(),
       config);
@@ -157,7 +173,8 @@ TEST(Failures, SchedulingAfterRunStartThrows) {
   mr::JobDriver driver(sim, cluster, layout, spec, mr::SimParams{},
                        *scheduler);
   driver.run();
-  EXPECT_THROW(driver.schedule_node_failure(0, 1e9), InvariantError);
+  EXPECT_THROW(driver.install_faults(oracle_crashes({{0, 1e9}})),
+               InvariantError);
 }
 
 TEST(Failures, DeadNodeSlotsWithdrawnFromRm) {

@@ -19,6 +19,7 @@
 // machine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -36,30 +37,41 @@ using golden::GoldenCase;
 using golden::golden_fault_plan;
 using golden::kCases;
 using golden::kFaultCases;
+using golden::kOracleFaultCases;
+using golden::oracle_fault_plan;
 using golden::run_case;
 
-void check_goldens(const GoldenCase* cases, std::size_t n,
-                   const faults::FaultPlan& plan) {
-  const bool regen = std::getenv("FLEXMR_REGEN_GOLDEN") != nullptr;
-  bool all_match = true;
-  for (std::size_t i = 0; i < n; ++i) {
-    const GoldenCase& c = cases[i];
-    const std::uint64_t hash = fnv1a(run_case(c, plan));
-    if (regen) {
-      std::printf("    {workloads::SchedulerKind::k..., ..., \"%s\",\n"
-                  "     0x%016llxull},\n",
-                  c.label, static_cast<unsigned long long>(hash));
-      all_match = false;
-      continue;
-    }
-    EXPECT_EQ(hash, c.expected) << c.label;
-    all_match = all_match && hash == c.expected;
+bool regenerating() { return std::getenv("FLEXMR_REGEN_GOLDEN") != nullptr; }
+
+/// Compares one run's hash with its pinned constant, or prints it when
+/// regenerating. Returns whether it matched.
+bool check_golden(const GoldenCase& c, const std::string& json) {
+  const std::uint64_t hash = fnv1a(json);
+  if (regenerating()) {
+    std::printf("    {workloads::SchedulerKind::k..., ..., \"%s\",\n"
+                "     0x%016llxull},\n",
+                c.label, static_cast<unsigned long long>(hash));
+    return false;
   }
-  if (regen) {
+  EXPECT_EQ(hash, c.expected) << c.label;
+  return hash == c.expected;
+}
+
+void finish_check(bool all_match) {
+  if (regenerating()) {
     FAIL() << "FLEXMR_REGEN_GOLDEN set: hashes printed above; update "
               "the golden cases and re-run without the env var";
   }
   EXPECT_TRUE(all_match);
+}
+
+void check_goldens(const GoldenCase* cases, std::size_t n,
+                   const faults::FaultPlan& plan) {
+  bool all_match = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    all_match = check_golden(cases[i], run_case(cases[i], plan)) && all_match;
+  }
+  finish_check(all_match);
 }
 
 TEST(GoldenDeterminism, JobResultJsonMatchesPreOptimizationGolden) {
@@ -68,6 +80,53 @@ TEST(GoldenDeterminism, JobResultJsonMatchesPreOptimizationGolden) {
 
 TEST(GoldenDeterminism, FaultTimelineMatchesGolden) {
   check_goldens(kFaultCases, std::size(kFaultCases), golden_fault_plan());
+}
+
+// The oracle plan must actually reach the paths it exists to pin: launch
+// failures, the disk fault, and map outputs lost to a crash detected after
+// the reduce phase began (the map-phase re-open).
+void expect_oracle_paths_hit(const golden::OracleFaultCase& c,
+                             const mr::JobResult& result) {
+  const char* label = c.golden.label;
+  bool launch_failure = false;
+  bool disk_fault = false;
+  SimTime shuffle_crash_detected = -1;
+  for (const auto& event : result.fault_events) {
+    launch_failure |= event.type == faults::FaultEventType::kLaunchFailure;
+    disk_fault |= event.type == faults::FaultEventType::kDiskFault;
+    if (event.type == faults::FaultEventType::kDetected &&
+        event.node == golden::kOracleShuffleCrashNode) {
+      shuffle_crash_detected = event.time;
+    }
+  }
+  EXPECT_TRUE(launch_failure) << label;
+  EXPECT_TRUE(disk_fault) << label;
+  EXPECT_DOUBLE_EQ(shuffle_crash_detected, c.shuffle_crash_at) << label;
+  SimTime reduce_phase_began = result.finish_time;
+  for (const auto& task : result.tasks) {
+    if (task.kind == mr::TaskKind::kReduce) {
+      reduce_phase_began = std::min(reduce_phase_began, task.dispatch_time);
+    }
+  }
+  EXPECT_LT(reduce_phase_began, shuffle_crash_detected) << label;
+  bool lost_in_shuffle = false;
+  for (const auto& task : result.tasks) {
+    lost_in_shuffle |= task.status == mr::TaskStatus::kLostOutput &&
+                       task.node == golden::kOracleShuffleCrashNode;
+  }
+  EXPECT_TRUE(lost_in_shuffle) << label;
+}
+
+TEST(GoldenDeterminism, OracleFaultTimelineMatchesGolden) {
+  bool all_match = true;
+  for (const auto& c : kOracleFaultCases) {
+    mr::JobResult result;
+    const std::string json = run_case(
+        c.golden, oracle_fault_plan(c.shuffle_crash_at), nullptr, &result);
+    all_match = check_golden(c.golden, json) && all_match;
+    expect_oracle_paths_hit(c, result);
+  }
+  finish_check(all_match);
 }
 
 // The tracer observes, never perturbs: attaching a live TraceSession must
@@ -88,6 +147,13 @@ TEST(GoldenDeterminism, TracingOnLeavesGoldenHashesUnchanged) {
     EXPECT_EQ(fnv1a(run_case(c, plan, &trace)), c.expected)
         << c.label << " with tracing enabled";
     EXPECT_GT(trace.metrics().counter_value("fault_events"), 0u) << c.label;
+  }
+  for (const auto& c : kOracleFaultCases) {
+    obs::TraceSession trace;
+    EXPECT_EQ(fnv1a(run_case(c.golden, oracle_fault_plan(c.shuffle_crash_at),
+                             &trace)),
+              c.golden.expected)
+        << c.golden.label << " with tracing enabled";
   }
 }
 

@@ -131,6 +131,13 @@ TEST(ProfilerGolden, ClassicEngineByteIdenticalWithProfilerActive) {
     ASSERT_NE(dispatch, nullptr) << c.label;
     EXPECT_EQ(dispatch->count, parse_events_fired(json)) << c.label;
   }
+  for (const auto& c : golden::kOracleFaultCases) {
+    ActiveProfiler active;
+    EXPECT_EQ(golden::fnv1a(golden::run_case(
+                  c.golden, golden::oracle_fault_plan(c.shuffle_crash_at))),
+              c.golden.expected)
+        << c.golden.label << " diverged with the profiler active";
+  }
 }
 
 }  // namespace

@@ -27,15 +27,15 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "common/config.hpp"
 #include "common/logging.hpp"
 #include "mr/trace.hpp"
 #include "obs/session.hpp"
+#include "service/config.hpp"
 #include "workloads/experiment.hpp"
 
 namespace {
@@ -65,57 +65,6 @@ block_mb = 64
 seed = 9
 scheduler = flexmap
 )";
-
-flexmr::cluster::Cluster build_cluster(const flexmr::Config& config) {
-  using namespace flexmr;
-  cluster::ClusterBuilder builder;
-  for (int g = 1;; ++g) {
-    const std::string section = "group" + std::to_string(g);
-    if (!config.has(section + ".count")) break;
-    cluster::MachineSpec spec;
-    spec.model = config.get_string(section + ".model", section);
-    spec.base_ips = config.require_double(section + ".ips");
-    spec.slots =
-        static_cast<std::uint32_t>(config.get_int(section + ".slots", 4));
-    const double slowdown = config.get_double(section + ".slowdown", 1.0);
-    builder.add(spec,
-                static_cast<std::uint32_t>(
-                    config.require_int(section + ".count")),
-                slowdown < 1.0 ? cluster::static_slowdown(slowdown)
-                               : cluster::no_interference());
-  }
-  return builder.build();
-}
-
-flexmr::workloads::SchedulerKind parse_scheduler(const std::string& name) {
-  using flexmr::workloads::SchedulerKind;
-  if (name == "hadoop") return SchedulerKind::kHadoop;
-  if (name == "hadoop-nospec") return SchedulerKind::kHadoopNoSpec;
-  if (name == "skewtune") return SchedulerKind::kSkewTune;
-  if (name == "flexmap") return SchedulerKind::kFlexMap;
-  if (name == "flexmap-nov") return SchedulerKind::kFlexMapNoVertical;
-  if (name == "flexmap-noh") return SchedulerKind::kFlexMapNoHorizontal;
-  if (name == "flexmap-norb") return SchedulerKind::kFlexMapNoReduceBias;
-  throw flexmr::ConfigError("unknown scheduler: " + name);
-}
-
-std::vector<std::pair<flexmr::NodeId, flexmr::SimTime>> parse_failures(
-    const flexmr::Config& config) {
-  std::vector<std::pair<flexmr::NodeId, flexmr::SimTime>> failures;
-  for (int i = 1;; ++i) {
-    const auto value = config.get("failures.node" + std::to_string(i));
-    if (!value) break;
-    const auto at = value->find('@');
-    if (at == std::string::npos) {
-      throw flexmr::ConfigError("failure spec must be '<node> @ <time>': " +
-                                *value);
-    }
-    failures.emplace_back(
-        static_cast<flexmr::NodeId>(std::stoul(value->substr(0, at))),
-        std::stod(value->substr(at + 1)));
-  }
-  return failures;
-}
 
 void write_file(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary);
@@ -182,7 +131,7 @@ int main(int argc, char** argv) {
                               ? Config::parse(kDemoConfig)
                               : Config::load(cli.config_path);
 
-    auto cluster = build_cluster(config);
+    auto cluster = service::build_cluster(config);
     auto bench =
         workloads::benchmark(config.get_string("job.benchmark", "WC"));
     bench.small_input = gib_to_mib(config.get_double("job.input_gib", 4));
@@ -191,9 +140,12 @@ int main(int argc, char** argv) {
     run.block_size = config.get_double("job.block_mb", 64.0);
     run.params.seed =
         static_cast<std::uint64_t>(config.get_int("run.seed", 1));
-    run.node_failures = parse_failures(config);
-    const auto kind =
-        parse_scheduler(config.get_string("run.scheduler", "flexmap"));
+    for (const auto& [node, at] : service::parse_node_failures(config)) {
+      run.faults.crashes.push_back(
+          faults::NodeCrash{node, at, std::nullopt, /*silent=*/false});
+    }
+    const auto kind = service::parse_scheduler_kind(
+        config.get_string("run.scheduler", "flexmap"));
 
     obs::TraceOptions options;
     options.metrics_cadence_s = cli.cadence_s;
