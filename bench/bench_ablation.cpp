@@ -75,9 +75,9 @@ void bu_granularity(BenchArtifact& artifact) {
                                          config.block_size,
                                          config.replication, bu);
       auto spec = workloads::to_job_spec(bench, workloads::InputScale::kSmall);
-      mr::JobDriver driver(sim, cluster, layout, spec, config.params,
-                           *scheduler);
-      const auto result = driver.run();
+      mr::AmAttempts job(sim, cluster, layout, spec, config.params,
+                         *scheduler);
+      const auto result = workloads::run_attempts(sim, job, {});
       jct.add(result.jct());
       eff.add(result.efficiency());
     }

@@ -14,7 +14,6 @@
 
 #include "bench/bench_common.hpp"
 #include "cluster/presets.hpp"
-#include "recover/runner.hpp"
 
 namespace flexmr::bench {
 namespace {
@@ -164,7 +163,7 @@ void run_mttf_sweep(BenchArtifact& artifact,
 }
 
 /// Snapshot cadence: runs the same mid-job AM crash under different
-/// journal snapshot intervals through the RecoveryRunner directly, so the
+/// journal snapshot intervals through an AmAttempts chain it holds, so the
 /// journal itself is inspectable. The job's JCT is byte-stable across
 /// intervals; only the log tail the restart replays shrinks.
 void run_snapshot_sweep(BenchArtifact& artifact, std::uint64_t seed) {
@@ -192,30 +191,29 @@ void run_snapshot_sweep(BenchArtifact& artifact, std::uint64_t seed) {
     plan.am_snapshot_interval_s = interval;
     mr::SimParams params;
     params.seed = seed;
-    recover::RecoveryRunner runner(sim, cluster, layout, spec, params,
-                                   *scheduler, plan);
-    const auto result = runner.run();
+    mr::AmAttempts chain(sim, cluster, layout, spec, params, *scheduler);
+    const auto result = workloads::run_attempts(sim, chain, plan);
     const std::string label =
         interval > 0 ? TextTable::num(interval, 0) : "off";
     table.add_row({label, TextTable::num(result.jct(), 2),
                    TextTable::num(
-                       static_cast<double>(runner.journal().snapshots_taken()),
+                       static_cast<double>(chain.journal().snapshots_taken()),
                        0),
                    TextTable::num(
-                       static_cast<double>(runner.journal().log_records()), 0),
+                       static_cast<double>(chain.journal().log_records()), 0),
                    TextTable::num(static_cast<double>(result.am_restarts),
                                   0)});
     const std::string series = "snapshot/" + label;
     artifact.add_metric(series, "jct", result.jct());
     artifact.add_metric(
         series, "snapshots",
-        static_cast<double>(runner.journal().snapshots_taken()));
+        static_cast<double>(chain.journal().snapshots_taken()));
     artifact.add_metric(series, "log_records",
-                        static_cast<double>(runner.journal().log_records()));
+                        static_cast<double>(chain.journal().log_records()));
     // One full journal document rides along for shape-checking (the
     // 15 s-interval run actually exercises the snapshot fold).
     if (interval == 15.0) {
-      artifact.attach("journal", runner.journal().to_json());
+      artifact.attach("journal", chain.journal().to_json());
     }
   }
   std::printf("%s\n", table.str().c_str());

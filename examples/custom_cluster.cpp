@@ -76,8 +76,7 @@ int main(int argc, char** argv) {
     }
     const auto kind = service::parse_scheduler_kind(
         config.get_string("run.scheduler", "flexmap"));
-    const auto repeats =
-        static_cast<std::uint64_t>(config.get_int("job.repeats", 1));
+    const std::uint64_t repeats = config.get_count("job.repeats", 1);
 
     std::printf("cluster: %u nodes, %u slots; job: %s (%.0f GiB); "
                 "scheduler: %s; repeats: %llu%s\n",

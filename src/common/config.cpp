@@ -23,6 +23,17 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
+/// Parses `token` (surrounding whitespace aside) whole into `out`: no sign
+/// prefix, no suffix, in range.
+template <typename T>
+bool parse_whole(std::string_view token, T& out) {
+  token = trim(token);
+  const auto [end, ec] =
+      std::from_chars(token.data(), token.data() + token.size(), out);
+  return !token.empty() && ec == std::errc() &&
+         end == token.data() + token.size();
+}
+
 }  // namespace
 
 Config Config::parse(std::string_view text) {
@@ -123,21 +134,26 @@ std::optional<std::pair<std::uint32_t, double>> Config::get_id_at(
   if (!value) return std::nullopt;
   const std::string_view text = *value;
   const std::size_t at = text.find('@');
-  const auto whole = [](std::string_view token, auto& out) {
-    token = trim(token);
-    const auto [end, ec] =
-        std::from_chars(token.data(), token.data() + token.size(), out);
-    return !token.empty() && ec == std::errc() &&
-           end == token.data() + token.size();
-  };
   std::uint32_t id = 0;
   double seconds = 0;
-  if (at == std::string_view::npos || !whole(text.substr(0, at), id) ||
-      !whole(text.substr(at + 1), seconds) || !std::isfinite(seconds)) {
+  if (at == std::string_view::npos || !parse_whole(text.substr(0, at), id) ||
+      !parse_whole(text.substr(at + 1), seconds) || !std::isfinite(seconds)) {
     throw ConfigError("key '" + key + "' is not '<id> @ <seconds>': " +
                       *value);
   }
   return std::pair{id, seconds};
+}
+
+std::uint32_t Config::get_count(const std::string& key,
+                                std::uint32_t fallback) const {
+  const auto value = get(key);
+  if (!value) return fallback;
+  std::uint32_t count = 0;
+  if (!parse_whole(*value, count)) {
+    throw ConfigError("key '" + key + "' is not a non-negative count: " +
+                      *value);
+  }
+  return count;
 }
 
 std::string Config::require_string(const std::string& key) const {

@@ -41,6 +41,13 @@ class Config {
   std::optional<std::pair<std::uint32_t, double>> get_id_at(
       const std::string& key) const;
 
+  /// Reads a non-negative count (machines, slots, jobs, attempts): a whole
+  /// decimal integer in [0, 2^32). A sign, a suffix or an out-of-range
+  /// value throws ConfigError naming the key, instead of wrapping "-1"
+  /// around to a huge count. `fallback` when the key is absent.
+  std::uint32_t get_count(const std::string& key,
+                          std::uint32_t fallback) const;
+
   /// Required-key variants throw ConfigError when absent or malformed.
   std::string require_string(const std::string& key) const;
   double require_double(const std::string& key) const;

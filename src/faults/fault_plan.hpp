@@ -155,7 +155,7 @@ struct FaultPlan {
   SimDuration am_snapshot_interval_s = 60.0;
 
   /// True when the plan can kill the AM (fixed-time or probabilistic) —
-  /// such runs must go through the recovery runner.
+  /// such runs need a journaled mr::AmAttempts chain.
   bool has_am_faults() const {
     return !am_crashes.empty() || am_crash_mttf_s > 0.0;
   }

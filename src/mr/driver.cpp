@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
 
 #include "common/logging.hpp"
 #include "obs/profiler.hpp"
@@ -11,9 +10,8 @@ namespace flexmr::mr {
 
 namespace {
 constexpr TaskId kReduceIdBase = 1'000'000;
+}  // namespace
 
-/// Relabels the latest map record of `task` in `tasks` as kLostOutput with
-/// no credited BUs: its work no longer counts.
 void relabel_lost_output(std::span<TaskRecord> tasks, TaskId task) {
   for (auto it = tasks.rbegin(); it != tasks.rend(); ++it) {
     if (it->id == task && it->kind == TaskKind::kMap) {
@@ -23,7 +21,6 @@ void relabel_lost_output(std::span<TaskRecord> tasks, TaskId task) {
     }
   }
 }
-}  // namespace
 
 JobDriver::JobDriver(Simulator& sim, cluster::Cluster& cluster,
                      const hdfs::FileLayout& layout, JobSpec job,
@@ -78,7 +75,7 @@ void JobDriver::start() {
   if (plan_.has_am_faults() && journal_ == nullptr) {
     throw ConfigError(
         "FaultPlan arms AM crashes but no recovery journal is installed; "
-        "route the run through the recovery runner");
+        "route the run through an AmAttempts chain");
   }
 
   result_.benchmark = job_.name;
@@ -173,9 +170,8 @@ void JobDriver::start() {
   }
 
   if (owned_rm_) {
-    // Single-job mode: this driver owns interference and the offer loop.
+    // Single-job mode: this driver owns the cluster's interference.
     cluster_->start(*sim_, rng_);
-    rm_.set_offer_handler([this](NodeId node) { return offer(node); });
   }
   speed_listener_ids_.reserve(cluster_->num_nodes());
   for (NodeId node = 0; node < cluster_->num_nodes(); ++node) {
@@ -202,29 +198,6 @@ void JobDriver::start() {
 
   reoffer_soon();
   sim_->schedule_after(params_.heartbeat_period_s, [this]() { heartbeat(); });
-}
-
-JobResult JobDriver::run() {
-  FLEXMR_ASSERT_MSG(owned_rm_ != nullptr,
-                    "run() is for single-job mode; with a shared RM use "
-                    "start() and step the simulator yourself");
-  start();
-  while (!done_) {
-    if (!sim_->step()) {
-      throw InvariantError("simulation ran dry before job completion");
-    }
-    // Pull-based sampling: the registry emits rows for cadence ticks the
-    // simulator just crossed. Never schedules events, so the event-queue
-    // counters in the golden hashes stay identical with tracing on/off.
-    if (trace_ != nullptr) trace_->metrics().maybe_sample(sim_->now());
-  }
-  if (result_.aborted) {
-    if (!result_.lost_blocks.empty()) {
-      throw DataLossError(result_.abort_reason, result_);
-    }
-    throw JobAbortedError(result_.abort_reason, result_);
-  }
-  return result_;
 }
 
 // ---------------------------------------------------------------------------
@@ -421,7 +394,7 @@ void JobDriver::dispatch_map(NodeId node, MapLaunch launch) {
     decode_s = degraded / layout_->storage.decode_mibps;
     ++result_.degraded_reads;
     result_.decode_mib += degraded;
-    if (ctr_degraded_reads_) ctr_degraded_reads_->inc();
+    if (ctr_.degraded_reads) ctr_.degraded_reads->inc();
     if (tracer_ != nullptr) {
       tracer_->instant({obs::node_pid(node), 0}, "degraded-read", "fault",
                        sim_->now(),
@@ -525,7 +498,7 @@ void JobDriver::map_complete(std::size_t idx) {
     tracer_->task_end(ttok(id), sim_->now(),
                       {{"status", "completed"},
                        {"productivity", completed_rec.productivity()}});
-    ctr_maps_completed_->inc();
+    ctr_.maps_completed->inc();
     auto& metrics = trace_->metrics();
     metrics.histogram("map.total_runtime_s")
         .record(completed_rec.total_runtime());
@@ -570,7 +543,7 @@ void JobDriver::kill_map(TaskId id, TaskStatus final_status) {
   if (tracer_ != nullptr) {
     trace_task_closed(id, to_string(final_status), "twin finished first",
                       consumed);
-    ctr_speculative_kills_->inc();
+    ctr_.speculative_kills->inc();
   }
   rm_.release(node);  // `task` may dangle past this point
 }
@@ -797,7 +770,7 @@ bool JobDriver::dispatch_reduce(NodeId node) {
                          {"share", task.share},
                          {"requeued", from_requeue}});
     tracer_->task_child_begin(ttok(task.id), "startup", task.dispatch_time);
-    ctr_reduces_dispatched_->inc();
+    ctr_.reduces_dispatched->inc();
   }
   return true;
 }
@@ -864,7 +837,7 @@ void JobDriver::handle_fetch_failure(std::size_t idx) {
                           {{"source", source},
                            {"attempt", task.fetch_attempt},
                            {"backoff_s", backoff}});
-    ctr_fetch_failures_->inc();
+    ctr_.fetch_failures->inc();
   }
   record_fault(faults::FaultEventType::kFetchFailure, source, task.id,
                task.fetch_attempt);
@@ -972,7 +945,7 @@ void JobDriver::reduce_complete(std::size_t idx) {
 
   if (tracer_ != nullptr) {
     tracer_->task_end(ttok(rec.id), sim_->now(), {{"status", "completed"}});
-    ctr_reduces_completed_->inc();
+    ctr_.reduces_completed->inc();
     auto& metrics = trace_->metrics();
     metrics.histogram("reduce.total_runtime_s").record(rec.total_runtime());
     metrics.histogram("reduce.input_mib").record(rec.input_mib);
@@ -1086,7 +1059,7 @@ void JobDriver::heartbeat() {
   }
 
   if (tracer_ != nullptr) {
-    ctr_heartbeats_->inc();
+    ctr_.heartbeats->inc();
     tracer_->counter(trace_ns_.job_pid, "running_maps", sim_->now(),
                      static_cast<double>(running_map_count_));
     tracer_->counter(trace_ns_.job_pid, "running_reduces", sim_->now(),
@@ -1112,7 +1085,7 @@ void JobDriver::heartbeat() {
 // ---------------------------------------------------------------------------
 
 void JobDriver::install_faults(faults::FaultPlan plan) {
-  FLEXMR_ASSERT_MSG(!started_, "install faults before run()");
+  FLEXMR_ASSERT_MSG(!started_, "install faults before start()");
   FLEXMR_ASSERT_MSG(owned_rm_ != nullptr,
                     "install_faults is for single-job mode (a shared-RM "
                     "coordinator owns cluster-level fault state)");
@@ -1160,7 +1133,7 @@ void JobDriver::crash_am() {
     record_map(task, TaskStatus::kKilled, consumed, 0);
     if (tracer_ != nullptr) {
       trace_task_closed(id, "killed", "am crashed", consumed);
-      ctr_maps_killed_->inc();
+      ctr_.maps_killed->inc();
     }
     const NodeId host = task.node;
     if (!rm_.is_dead(host)) rm_.release(host);
@@ -1181,8 +1154,8 @@ void JobDriver::crash_am() {
 
   result_.redone_work_mib += attempt.wasted_mib;
   result_.redone_work_units += attempt.wasted_units;
-  if (ctr_redone_units_ != nullptr) {
-    ctr_redone_units_->inc(attempt.wasted_units);
+  if (ctr_.redone_units != nullptr) {
+    ctr_.redone_units->inc(attempt.wasted_units);
   }
   result_.am_attempts.push_back(attempt);
   // No finish_time: this attempt did not finish the job — it died.
@@ -1335,7 +1308,7 @@ void JobDriver::record_fault(faults::FaultEventType type, NodeId node,
     if (block != faults::kInvalidBlock) args.emplace_back("block", block);
     tracer_->instant({obs::kFaultsPid, 0}, faults::to_string(type), "fault",
                      sim_->now(), std::move(args));
-    ctr_fault_events_->inc();
+    ctr_.fault_events->inc();
   }
 }
 
@@ -1399,7 +1372,7 @@ void JobDriver::fail_node(NodeId node, bool schedule_reoffer) {
     record_map(task, TaskStatus::kKilled, consumed, 0);
     if (tracer_ != nullptr) {
       trace_task_closed(task.id, "killed", "node lost", consumed);
-      ctr_maps_killed_->inc();
+      ctr_.maps_killed->inc();
     }
     // Both copies of a pair can die on this node; then the owner returns
     // the BUs (the other list is a duplicate and must not be put back too).
@@ -1603,7 +1576,7 @@ void JobDriver::on_block_re_replicated(std::uint32_t block, NodeId target) {
                target, kInvalidTask, 0, block);
   if (erasure) {
     ++result_.parts_reconstructed;
-    if (ctr_parts_reconstructed_) ctr_parts_reconstructed_->inc();
+    if (ctr_.parts_reconstructed) ctr_.parts_reconstructed->inc();
   }
   if (replica_mgr_) {
     result_.repair_read_mib = replica_mgr_->repair_read_mib();
@@ -1884,12 +1857,8 @@ double JobDriver::map_phase_progress() const {
 // Tracing (opt-in; every helper is a no-op when no session is installed)
 // ---------------------------------------------------------------------------
 
-void JobDriver::set_trace(obs::TraceSession* trace) {
-  set_trace(trace, TraceNamespace{});
-}
-
 void JobDriver::set_trace(obs::TraceSession* trace, TraceNamespace ns) {
-  FLEXMR_ASSERT_MSG(!started_, "install tracing before run()");
+  FLEXMR_ASSERT_MSG(!started_, "install tracing before start()");
   trace_ = trace;
   trace_ns_ = std::move(ns);
 }
@@ -1921,89 +1890,87 @@ void JobDriver::trace_setup() {
     injector_->set_tracer(tracer_);
   }
 
-  // All instruments are registered up front: the registry's column layout
-  // freezes at the first sampled row. Counters and histograms dedupe by
-  // name, so drivers sharing one session aggregate into service-wide
-  // instruments.
-  auto& metrics = trace_->metrics();
-  ctr_maps_dispatched_ = &metrics.counter("maps_dispatched");
-  ctr_maps_completed_ = &metrics.counter("maps_completed");
-  ctr_maps_killed_ = &metrics.counter("maps_killed");
-  ctr_speculative_kills_ = &metrics.counter("speculative_kills");
-  ctr_reduces_dispatched_ = &metrics.counter("reduces_dispatched");
-  ctr_reduces_completed_ = &metrics.counter("reduces_completed");
-  ctr_fetch_failures_ = &metrics.counter("fetch_failures");
-  ctr_fault_events_ = &metrics.counter("fault_events");
-  ctr_heartbeats_ = &metrics.counter("heartbeats");
-  ctr_am_restarts_ = &metrics.counter("am_restarts");
-  ctr_redone_units_ = &metrics.counter("redone_work_units");
-  ctr_degraded_reads_ = &metrics.counter("degraded_reads");
-  ctr_parts_reconstructed_ = &metrics.counter("parts_reconstructed");
-  if (am_attempt_ > 1) ctr_am_restarts_->inc();
+  ctr_ = JobInstruments::register_in(trace_->metrics());
+  if (am_attempt_ > 1) ctr_.am_restarts->inc();
+  trace_begin_phase(map_phase_done_ ? "reduce phase (recovered)"
+                                    : "map phase");
+}
+
+JobInstruments JobInstruments::register_in(obs::MetricsRegistry& metrics) {
+  JobInstruments ctr;
+  ctr.maps_dispatched = &metrics.counter("maps_dispatched");
+  ctr.maps_completed = &metrics.counter("maps_completed");
+  ctr.maps_killed = &metrics.counter("maps_killed");
+  ctr.speculative_kills = &metrics.counter("speculative_kills");
+  ctr.reduces_dispatched = &metrics.counter("reduces_dispatched");
+  ctr.reduces_completed = &metrics.counter("reduces_completed");
+  ctr.fetch_failures = &metrics.counter("fetch_failures");
+  ctr.fault_events = &metrics.counter("fault_events");
+  ctr.heartbeats = &metrics.counter("heartbeats");
+  ctr.am_restarts = &metrics.counter("am_restarts");
+  ctr.redone_units = &metrics.counter("redone_work_units");
+  ctr.degraded_reads = &metrics.counter("degraded_reads");
+  ctr.parts_reconstructed = &metrics.counter("parts_reconstructed");
   metrics.histogram("map.total_runtime_s");
   metrics.histogram("map.effective_runtime_s");
   metrics.histogram("map.input_mib");
   metrics.histogram("reduce.total_runtime_s");
   metrics.histogram("reduce.input_mib");
+  return ctr;
+}
 
-  if (!trace_ns_.register_gauges) {
-    trace_begin_phase(map_phase_done_ ? "reduce phase (recovered)"
-                                      : "map phase");
-    return;
-  }
-  metrics.register_gauge("cluster_utilization", [this]() {
-    const double total = static_cast<double>(rm_.total_slots());
-    return total > 0 ? (total - static_cast<double>(rm_.total_free())) / total
+void JobDriver::register_gauges(obs::TraceSession& trace,
+                                const JobDriver* const* live) {
+  auto& metrics = trace.metrics();
+  metrics.register_gauge("cluster_utilization", [live]() {
+    const yarn::ResourceManager& rm = (*live)->rm_;
+    const double total = static_cast<double>(rm.total_slots());
+    return total > 0 ? (total - static_cast<double>(rm.total_free())) / total
                      : 0.0;
   });
-  metrics.register_gauge("rm_free_containers", [this]() {
-    return static_cast<double>(rm_.total_free());
+  metrics.register_gauge("rm_free_containers", [live]() {
+    return static_cast<double>((*live)->rm_.total_free());
   });
-  metrics.register_gauge("pending_map_bus", [this]() {
-    return static_cast<double>(index_.unprocessed());
+  metrics.register_gauge("pending_map_bus", [live]() {
+    return static_cast<double>((*live)->index_.unprocessed());
   });
-  metrics.register_gauge("pending_reducers", [this]() {
-    return static_cast<double>(reduce_tasks_.size() - next_reducer_ +
-                               reduce_requeue_.size());
+  metrics.register_gauge("pending_reducers", [live]() {
+    const JobDriver& d = **live;
+    return static_cast<double>(d.reduce_tasks_.size() - d.next_reducer_ +
+                               d.reduce_requeue_.size());
   });
-  metrics.register_gauge("running_maps", [this]() {
-    return static_cast<double>(running_map_count_);
+  metrics.register_gauge("running_maps", [live]() {
+    return static_cast<double>((*live)->running_map_count_);
   });
-  metrics.register_gauge("running_reduces", [this]() {
-    return static_cast<double>(running_reduce_count_);
+  metrics.register_gauge("running_reduces", [live]() {
+    return static_cast<double>((*live)->running_reduce_count_);
   });
-  metrics.register_gauge("in_flight_fetches", [this]() {
+  metrics.register_gauge("in_flight_fetches", [live]() {
     std::size_t fetching = 0;
-    for (const auto& owned : reduce_tasks_) {
+    for (const auto& owned : (*live)->reduce_tasks_) {
       if (owned->phase == TaskPhase::kFetching) ++fetching;
     }
     return static_cast<double>(fetching);
   });
-  metrics.register_gauge("under_replicated_blocks", [this]() {
-    return replica_mgr_ ? static_cast<double>(
-                              replica_mgr_->under_replicated_count())
-                        : 0.0;
-  });
-  if (layout_->storage.erasure()) {
+  const auto under_replicated = [live]() {
+    const auto& mgr = (*live)->replica_mgr_;
+    return mgr ? static_cast<double>(mgr->under_replicated_count()) : 0.0;
+  };
+  metrics.register_gauge("under_replicated_blocks", under_replicated);
+  if ((*live)->layout_->storage.erasure()) {
     // rs(k,m) alias of the same backlog: the repair queue holds blocks
     // below their k+m part target, sized for the erasure dashboards.
-    metrics.register_gauge("repair_backlog", [this]() {
-      return replica_mgr_ ? static_cast<double>(
-                                replica_mgr_->under_replicated_count())
-                          : 0.0;
-    });
+    metrics.register_gauge("repair_backlog", under_replicated);
   }
-  if (trace_->options().per_node_gauges) {
-    for (NodeId node = 0; node < cluster_->num_nodes(); ++node) {
+  if (trace.options().per_node_gauges) {
+    for (NodeId node = 0; node < (*live)->cluster_->num_nodes(); ++node) {
       metrics.register_gauge(
-          "node" + std::to_string(node) + "_ips_mibps", [this, node]() {
-            return round_ips_[node] ? *round_ips_[node] : 0.0;
+          "node" + std::to_string(node) + "_ips_mibps", [live, node]() {
+            const auto& ips = (*live)->round_ips_[node];
+            return ips ? *ips : 0.0;
           });
     }
   }
-
-  trace_begin_phase(map_phase_done_ ? "reduce phase (recovered)"
-                                    : "map phase");
 }
 
 void JobDriver::trace_begin_phase(const char* name) {
@@ -2032,7 +1999,7 @@ void JobDriver::trace_map_begin(const MapTask& task) {
        {"local_fraction", task.local_fraction},
        {"speculative", task.speculative}});
   tracer_->task_child_begin(ttok(task.id), "startup", task.dispatch_time);
-  ctr_maps_dispatched_->inc();
+  ctr_.maps_dispatched->inc();
 }
 
 void JobDriver::trace_task_closed(TaskId id, const char* status,
@@ -2062,55 +2029,6 @@ void JobDriver::trace_finish() {
   }
   trace_end_phase();
   trace_->metrics().sample_now(sim_->now());
-}
-
-JobResult merge_am_attempts(const std::vector<const JobDriver*>& attempts,
-                            const std::vector<AmAttemptRecord>& records) {
-  FLEXMR_ASSERT(!attempts.empty());
-  JobResult merged = attempts.back()->result();
-  if (attempts.size() > 1) {
-    // Attempts are disjoint in time and internally chronological, so
-    // concatenation preserves order. `begin[i]` is where attempt i+1's
-    // task records start in the merged list.
-    std::vector<TaskRecord> tasks;
-    std::vector<faults::FaultEvent> events;
-    std::vector<std::size_t> begin;
-    for (const JobDriver* attempt : attempts) {
-      const JobResult& r = attempt->result();
-      begin.push_back(tasks.size());
-      tasks.insert(tasks.end(), r.tasks.begin(), r.tasks.end());
-      events.insert(events.end(), r.fault_events.begin(),
-                    r.fault_events.end());
-    }
-    begin.push_back(tasks.size());
-    for (const JobDriver* attempt : attempts) {
-      for (const recover::MapOrigin& origin : attempt->lost_replayed_maps()) {
-        FLEXMR_ASSERT(origin.attempt >= 1 && origin.attempt < begin.size());
-        const std::size_t from = begin[origin.attempt - 1];
-        relabel_lost_output(
-            std::span(tasks).subspan(from, begin[origin.attempt] - from),
-            origin.task);
-      }
-    }
-    merged.tasks = std::move(tasks);
-    merged.fault_events = std::move(events);
-    // The job began when attempt 1 did; AM downtime counts against JCT.
-    const JobResult& first = attempts.front()->result();
-    merged.submit_time = first.submit_time;
-    merged.map_phase_start = first.map_phase_start;
-    for (const JobDriver* attempt : attempts) {
-      merged.map_phase_end =
-          std::max(merged.map_phase_end, attempt->result().map_phase_end);
-    }
-  }
-  merged.am_attempts = records;
-  merged.redone_work_mib = 0;
-  merged.redone_work_units = 0;
-  for (const AmAttemptRecord& rec : records) {
-    merged.redone_work_mib += rec.wasted_mib;
-    merged.redone_work_units += rec.wasted_units;
-  }
-  return merged;
 }
 
 }  // namespace flexmr::mr

@@ -7,6 +7,10 @@
 // Mechanism/policy split: ALL state machines live here; Scheduler only
 // decides what to launch where (see mr/scheduler.hpp).
 //
+// One driver is one AM attempt: crash_am() kills it for good, and
+// mr::AmAttempts (mr/am_attempts.hpp) chains a job's attempts across AM
+// crashes. Every caller runs drivers through that chain.
+//
 // Task timeline (maps):
 //   dispatch ──(container_alloc + jvm_startup [+ extra])──▶ compute start
 //   compute ──(rate-integrated at node speed / cost)──▶ completion
@@ -22,6 +26,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -56,10 +61,31 @@ struct TraceNamespace {
   std::uint64_t token_base = 0;
   /// Process name for the control track; empty = "job <name> [<sched>]".
   std::string label;
-  /// Gauges read live driver state and are not deduped by name; a shared
-  /// session registers service-level gauges once at the coordinator
-  /// instead of one copy per job.
-  bool register_gauges = true;
+};
+
+/// The driver's trace counters. register_in() is the one list of driver
+/// instruments (these counters plus the task histograms): every driver
+/// registers through it, and a coordinator calls it up front, because the
+/// metrics column layout freezes at the first sampled row and jobs may
+/// start long after that. Instruments dedupe by name, so drivers sharing a
+/// session aggregate into service-wide instruments.
+struct JobInstruments {
+  using Counter = obs::MetricsRegistry::Counter;
+  Counter* maps_dispatched = nullptr;
+  Counter* maps_completed = nullptr;
+  Counter* maps_killed = nullptr;
+  Counter* speculative_kills = nullptr;
+  Counter* reduces_dispatched = nullptr;
+  Counter* reduces_completed = nullptr;
+  Counter* fetch_failures = nullptr;
+  Counter* fault_events = nullptr;
+  Counter* heartbeats = nullptr;
+  Counter* am_restarts = nullptr;
+  Counter* redone_units = nullptr;
+  Counter* degraded_reads = nullptr;
+  Counter* parts_reconstructed = nullptr;
+
+  static JobInstruments register_in(obs::MetricsRegistry& metrics);
 };
 
 /// Everything a crashed AM attempt hands its successor: the durable
@@ -80,17 +106,17 @@ struct AmRecoveryBaton {
 
 class JobDriver final : public DriverContext {
  public:
-  /// Single-job form: the driver owns a ResourceManager over the whole
-  /// cluster, arms the interference models, and drives the simulator
-  /// itself (via run()).
+  /// Single-job form (attempt 1 of an AmAttempts chain): the driver owns
+  /// a ResourceManager over the whole cluster and arms the interference
+  /// models.
   JobDriver(Simulator& sim, cluster::Cluster& cluster,
             const hdfs::FileLayout& layout, JobSpec job, SimParams params,
             Scheduler& scheduler);
 
   /// Shared-cluster form (used by MultiJobCoordinator): container offers
   /// arrive through `shared_rm`, whose offer handler and the cluster's
-  /// interference arming belong to the coordinator. Use start()/done(),
-  /// not run().
+  /// interference arming belong to the coordinator. AM successor attempts
+  /// take this form too, allocating from the surviving RM.
   JobDriver(Simulator& sim, cluster::Cluster& cluster,
             const hdfs::FileLayout& layout, JobSpec job, SimParams params,
             Scheduler& scheduler, yarn::ResourceManager& shared_rm);
@@ -100,19 +126,19 @@ class JobDriver final : public DriverContext {
   /// finished job), and a stale [this] callback is a use-after-free.
   ~JobDriver();
 
-  /// Runs the job to completion and returns its metrics. One-shot.
-  /// Only valid in the single-job form.
-  JobResult run();
-
   /// Registers the job (heartbeats, failures, initial offers) without
-  /// stepping the simulator. The owner steps until done().
+  /// stepping the simulator. One-shot; the owner routes the RM's offers to
+  /// offer() and steps until done() (workloads::run_attempts for a single
+  /// job, MultiJobCoordinator for a shared cluster).
   void start();
+  bool started() const { return started_; }
   bool done() const { return done_; }
   const JobResult& result() const { return result_; }
 
   /// Offers one free container on `node`; returns true if consumed.
-  /// (The RM calls this through the installed handler in single-job mode;
-  /// a coordinator calls it directly in shared mode.)
+  /// (The RM's offer handler calls this for the live attempt: installed by
+  /// the AmAttempts chain in single-job mode, by the coordinator in shared
+  /// mode.)
   bool offer(NodeId node);
 
   /// Containers currently held by this job (running maps + reduces).
@@ -141,19 +167,19 @@ class JobDriver final : public DriverContext {
   /// Installs the run's declarative fault plan (crashes with optional
   /// rejoin, silent death with heartbeat-expiry detection, degradation
   /// windows, per-attempt transient/launch failures, retry/blacklist
-  /// knobs). Must be called before run(); single-job mode only. The plan
+  /// knobs). Must be called before start(); single-job mode only. The plan
   /// is validated (ConfigError) at start().
   void install_faults(faults::FaultPlan plan);
 
-  // ---- AM crash + journaled recovery (recover::RecoveryRunner) ----------
+  // ---- AM crash + journaled recovery (mr::AmAttempts) -------------------
 
   /// Arms journaled recovery: the driver appends to `journal` at every
   /// commit point (map/reduce commits, output losses, attempt-failure
   /// charges) and snapshots it on the heartbeat cadence. Required
   /// (ConfigError at start()) when the installed plan has AM faults — the
-  /// recovery runner owns the journal and the restart loop. Must be set
-  /// before start(). Null journal + no AM faults keeps every commit site
-  /// on a pointer-test fast path (byte-identical runs).
+  /// job's AmAttempts chain owns the journal and the restart loop. Must be
+  /// set before start(). Null journal + no AM faults keeps every commit
+  /// site on a pointer-test fast path (byte-identical runs).
   void set_journal(recover::JobJournal* journal);
 
   /// 1-based AM attempt number this driver represents.
@@ -179,26 +205,31 @@ class JobDriver final : public DriverContext {
   void adopt_recovery(AmRecoveryBaton baton);
 
   /// Origins of journal-replayed maps whose output this attempt lost: their
-  /// task records live in earlier attempts, which merge_am_attempts
+  /// task records live in earlier attempts, which AmAttempts::result()
   /// relabels kLostOutput.
   const std::vector<recover::MapOrigin>& lost_replayed_maps() const {
     return lost_replayed_maps_;
   }
 
-  /// The RM this driver allocates from; the recovery runner re-points a
-  /// surviving single-job RM's offer handler at each new attempt.
+  /// The RM this driver allocates from (a single-job attempt 1 owns it;
+  /// every successor allocates from it).
   yarn::ResourceManager& resource_manager() { return rm_; }
 
-  /// Opt-in tracing: spans/instants for every task lifecycle plus a
-  /// metrics time series sampled from the run loop. Must be installed
-  /// before start(); the session must outlive the driver's run (its
-  /// gauges read driver state at sample time). Null (the default) keeps
-  /// every instrumentation site on a pointer-test fast path.
-  void set_trace(obs::TraceSession* trace);
+  /// Opt-in tracing: spans/instants for every task lifecycle plus the job
+  /// instruments, recorded under the given per-job namespace (the default
+  /// is the single-job layout; distinct namespaces let several jobs merge
+  /// into one document). Must be installed before start(); the session
+  /// must outlive the driver. Null (the default) keeps every
+  /// instrumentation site on a pointer-test fast path.
+  void set_trace(obs::TraceSession* trace, TraceNamespace ns = {});
 
-  /// Shared-session form: same as set_trace(trace) but records under the
-  /// given per-job namespace so several jobs merge into one document.
-  void set_trace(obs::TraceSession* trace, TraceNamespace ns);
+  /// Registers the single-job gauges (RM occupancy, pending and running
+  /// work, fetches, repair backlog, per-node IPS) in `trace`. Each reads
+  /// `*live` at sample time, so the gauges follow an AM-attempt chain to
+  /// whichever attempt is live; `*live` and the session must outlive every
+  /// sample.
+  static void register_gauges(obs::TraceSession& trace,
+                              const JobDriver* const* live);
 
   // --- DriverContext ---
   SimTime now() const override { return sim_->now(); }
@@ -552,30 +583,13 @@ class JobDriver final : public DriverContext {
   obs::EventTracer* tracer_ = nullptr;
   TraceNamespace trace_ns_;
   bool trace_phase_open_ = false;
-  obs::MetricsRegistry::Counter* ctr_maps_dispatched_ = nullptr;
-  obs::MetricsRegistry::Counter* ctr_maps_completed_ = nullptr;
-  obs::MetricsRegistry::Counter* ctr_maps_killed_ = nullptr;
-  obs::MetricsRegistry::Counter* ctr_speculative_kills_ = nullptr;
-  obs::MetricsRegistry::Counter* ctr_reduces_dispatched_ = nullptr;
-  obs::MetricsRegistry::Counter* ctr_reduces_completed_ = nullptr;
-  obs::MetricsRegistry::Counter* ctr_fetch_failures_ = nullptr;
-  obs::MetricsRegistry::Counter* ctr_fault_events_ = nullptr;
-  obs::MetricsRegistry::Counter* ctr_heartbeats_ = nullptr;
-  obs::MetricsRegistry::Counter* ctr_am_restarts_ = nullptr;
-  obs::MetricsRegistry::Counter* ctr_redone_units_ = nullptr;
-  obs::MetricsRegistry::Counter* ctr_degraded_reads_ = nullptr;
-  obs::MetricsRegistry::Counter* ctr_parts_reconstructed_ = nullptr;
+  JobInstruments ctr_;
 
   JobResult result_;
 };
 
-/// Stitches one job's AM attempts (oldest first; back() is the live or
-/// last one) into a single result: the last attempt's result with every
-/// attempt's task records and fault events in order, attempt 1's submit
-/// and map-phase start, the attempt records and their redone work. A map
-/// a successor replayed and then lost is relabeled in the attempt that
-/// ran it, so every BU stays credited exactly once.
-JobResult merge_am_attempts(const std::vector<const JobDriver*>& attempts,
-                            const std::vector<AmAttemptRecord>& records);
+/// Relabels the latest map record of `task` in `tasks` as kLostOutput with
+/// no credited BUs: its work no longer counts.
+void relabel_lost_output(std::span<TaskRecord> tasks, TaskId task);
 
 }  // namespace flexmr::mr

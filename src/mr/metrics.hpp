@@ -175,7 +175,7 @@ struct JobResult {
   std::size_t map_tasks_launched() const;
 };
 
-/// Thrown by JobDriver::run when the job aborts instead of completing
+/// Thrown by workloads::run_attempts when the job aborts instead of completing
 /// (a unit of work exceeded max_attempts, or every node died with no
 /// rejoin pending). Carries the partial JobResult so callers can still
 /// inspect the task records and fault timeline of the doomed run.

@@ -20,7 +20,8 @@
 // centralized: a node death is applied to the shared RM exactly once and
 // every affected job is *notified*, instead of each job independently
 // re-injecting the same crash (which marked the node dead N times and
-// scheduled N duplicate re-offers).
+// scheduled N duplicate re-offers). Each job is an AmAttempts chain, so an
+// AM crash restarts just that job's AM from its journal.
 #pragma once
 
 #include <memory>
@@ -29,8 +30,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
-#include "mr/driver.hpp"
-#include "recover/journal.hpp"
+#include "mr/am_attempts.hpp"
 
 namespace flexmr::mr {
 
@@ -77,15 +77,8 @@ class MultiJobCoordinator {
   /// jobs admitted later informed at their start). Call before start().
   void schedule_node_failure(NodeId node, SimTime time);
 
-  /// AM-crash recovery knobs shared by every journaled job.
-  struct AmRecoveryConfig {
-    /// A crash on this attempt aborts the job (YARN's
-    /// yarn.resourcemanager.am.max-attempts).
-    std::uint32_t max_attempts = 2;
-    /// Downtime between an AM death and its successor's registration.
-    SimDuration restart_delay_s = 10.0;
-  };
-  /// Install before start().
+  /// The AM restart budget of every journaled job. Install before start()
+  /// and before the first schedule_am_crash().
   void set_am_recovery(AmRecoveryConfig config);
 
   /// Kills job `job`'s AM at absolute time `time`; inert if the job is not
@@ -97,22 +90,26 @@ class MultiJobCoordinator {
 
   /// True while `job` sits between an AM crash and its successor's start:
   /// its driver reads done(), but the job is NOT finished.
-  bool am_recovering(std::size_t job) const { return jobs_[job].recovering; }
+  bool am_recovering(std::size_t job) const {
+    return jobs_[job].attempts->recovering();
+  }
   /// True when `job` died for good — its AM crashed with no attempts left.
-  bool am_aborted(std::size_t job) const { return jobs_[job].am_aborted; }
+  bool am_aborted(std::size_t job) const {
+    return jobs_[job].attempts->aborted();
+  }
   /// Finished for admission purposes: started, drained, and not in
   /// AM-restart limbo.
   bool job_finished(std::size_t job) const {
-    const Entry& e = jobs_[job];
-    return e.started && e.driver->done() && !e.recovering;
+    const AmAttempts& chain = *jobs_[job].attempts;
+    return chain.live().started() && chain.done();
   }
 
   /// The job's result with the cross-attempt AM timeline folded in
-  /// (identical to driver(job).result() for never-crashed jobs): crashed
-  /// attempts' task records and fault events stitched in chronologically,
-  /// submit time restored to attempt 1's, abort reason set when the
-  /// attempt budget was exhausted.
-  JobResult result(std::size_t job) const;
+  /// (AmAttempts::result: identical to driver(job).result() for
+  /// never-crashed jobs).
+  JobResult result(std::size_t job) const {
+    return jobs_[job].attempts->result();
+  }
 
   /// Merged observability: every job records into `trace` under its own
   /// pid/token namespace while node, NameNode and fault tracks are shared,
@@ -132,9 +129,10 @@ class MultiJobCoordinator {
   bool all_done() const;
 
   std::size_t num_jobs() const { return jobs_.size(); }
-  JobDriver& driver(std::size_t job) { return *jobs_[job].driver; }
+  /// Job `job`'s live AM attempt.
+  JobDriver& driver(std::size_t job) { return jobs_[job].attempts->live(); }
   const JobDriver& driver(std::size_t job) const {
-    return *jobs_[job].driver;
+    return jobs_[job].attempts->live();
   }
   double weight(std::size_t job) const { return jobs_[job].weight; }
 
@@ -151,10 +149,10 @@ class MultiJobCoordinator {
   bool handle_offer(NodeId node);
   void start_job(std::size_t j);
   void on_node_failure(NodeId node);
-  /// Kills job j's live AM; schedules the restart or marks it aborted.
-  void on_am_crash(std::size_t j);
-  /// Builds job j's successor attempt from the crashed one's baton.
-  void restart_am(std::size_t j);
+  /// Started and not done: holding or wanting containers.
+  bool running(std::size_t j) const {
+    return driver(j).started() && !driver(j).done();
+  }
   void preemption_pass();
   std::uint32_t handle_preemption(std::uint32_t want);
   void trace_setup();
@@ -168,24 +166,10 @@ class MultiJobCoordinator {
   Rng rng_;
 
   struct Entry {
-    std::unique_ptr<JobDriver> driver;
+    /// Heap-held: pending restart events capture the chain's address.
+    std::unique_ptr<AmAttempts> attempts;
     SimTime submit_time = 0;
     double weight = 1.0;
-    bool started = false;
-    // Construction inputs, kept so a successor AM attempt can be built
-    // (`layout` and `scheduler` must outlive the run — same contract as
-    // submit()).
-    const hdfs::FileLayout* layout = nullptr;
-    SimParams params;
-    Scheduler* scheduler = nullptr;
-    // AM-crash recovery (populated only for journaled jobs).
-    std::unique_ptr<recover::JobJournal> journal;
-    bool recovering = false;  ///< Crashed; successor not yet started.
-    bool am_aborted = false;  ///< Crashed with no attempts left.
-    std::vector<AmAttemptRecord> attempt_records;
-    /// Crashed attempts stay alive: their pending events are done()-gated
-    /// and their task records feed result(job).
-    std::vector<std::unique_ptr<JobDriver>> retired;
   };
   std::vector<Entry> jobs_;
   std::vector<std::pair<NodeId, SimTime>> failures_;

@@ -11,6 +11,7 @@ namespace flexmr::sched {
 
 void SkewTuneScheduler::on_job_start(mr::DriverContext& ctx) {
   StockHadoopScheduler::on_job_start(ctx);
+  reserved_.assign(ctx.layout().bus.size(), 0);
   chunks_.clear();
   mitigation_tasks_.clear();
   pending_is_mitigation_ = false;
@@ -34,30 +35,6 @@ void SkewTuneScheduler::on_map_dispatch(mr::DriverContext& ctx, TaskId task,
     mitigation_tasks_.insert(task);
     pending_is_mitigation_ = false;
   }
-}
-
-void SkewTuneScheduler::on_node_failed(
-    mr::DriverContext& ctx, NodeId node,
-    const std::vector<BlockUnitId>& reclaimed) {
-  StockHadoopScheduler::on_node_failed(ctx, node, reclaimed);
-  // BUs whose parent block still has launched siblings cannot be
-  // re-pended as a block; hand them to the mitigation queue instead.
-  std::vector<BlockUnitId> loose;
-  for (const BlockUnitId bu : reclaimed) {
-    if (block_launched(ctx.layout().bus[bu].block)) loose.push_back(bu);
-  }
-  if (!loose.empty()) chunks_.push_back(std::move(loose));
-}
-
-void SkewTuneScheduler::on_attempt_failed(
-    mr::DriverContext& ctx, NodeId node,
-    const std::vector<BlockUnitId>& reclaimed) {
-  StockHadoopScheduler::on_attempt_failed(ctx, node, reclaimed);
-  std::vector<BlockUnitId> loose;
-  for (const BlockUnitId bu : reclaimed) {
-    if (block_launched(ctx.layout().bus[bu].block)) loose.push_back(bu);
-  }
-  if (!loose.empty()) chunks_.push_back(std::move(loose));
 }
 
 TaskId SkewTuneScheduler::find_straggler(mr::DriverContext& ctx) const {
@@ -106,6 +83,7 @@ std::optional<mr::MapLaunch> SkewTuneScheduler::serve_chunk(
           return ctx.block_readable(ctx.layout().bus[bu].block);
         });
     if (!readable) continue;
+    for (const BlockUnitId bu : chunk) reserved_[bu] = 0;
     mr::MapLaunch launch;
     launch.bus = std::move(chunk);
     chunks_.erase(chunks_.begin() + static_cast<std::ptrdiff_t>(i));
@@ -139,6 +117,7 @@ std::optional<mr::MapLaunch> SkewTuneScheduler::on_slot_free(
       std::max<std::size_t>(1, ctx.total_free_slots() + 1);
   const std::size_t chunk_size =
       (remaining.size() + helpers - 1) / helpers;
+  for (const BlockUnitId bu : remaining) reserved_[bu] = 1;
   for (std::size_t begin = 0; begin < remaining.size();
        begin += chunk_size) {
     const std::size_t end = std::min(begin + chunk_size, remaining.size());

@@ -57,14 +57,9 @@ class SkewTuneScheduler final : public StockHadoopScheduler {
                                             NodeId node) override;
   void on_map_dispatch(mr::DriverContext& ctx, TaskId task,
                        NodeId node) override;
-  /// Whole blocks re-pend via the base class; BUs from partially-covered
-  /// blocks (a mitigated straggler's prefix died) become one repair chunk.
-  void on_node_failed(mr::DriverContext& ctx, NodeId node,
-                      const std::vector<BlockUnitId>& reclaimed) override;
-  /// Same split for a transient attempt failure: whole blocks re-pend,
-  /// loose BUs (a failed mitigation chunk) re-enter the chunk queue.
-  void on_attempt_failed(mr::DriverContext& ctx, NodeId node,
-                         const std::vector<BlockUnitId>& reclaimed) override;
+  // Failures need no override: the base class re-pends the block of every
+  // reclaimed BU (a failed mitigation chunk included), and the relaunch
+  // covers the block's free remainder minus the BUs still queued here.
 
  private:
   /// Picks the straggler to mitigate; returns kInvalidTask if none is
@@ -76,7 +71,8 @@ class SkewTuneScheduler final : public StockHadoopScheduler {
   std::optional<mr::MapLaunch> serve_chunk(mr::DriverContext& ctx);
 
   SkewTuneOptions options_;
-  std::deque<std::vector<BlockUnitId>> chunks_;  ///< Planned mitigation work.
+  /// Planned mitigation work; its BUs stay reserved_ until served.
+  std::deque<std::vector<BlockUnitId>> chunks_;
   /// Tasks created by mitigation — never re-mitigated (SkewTune splits a
   /// straggler once; recursively splitting its own repair tasks would pay
   /// the repartition overhead over and over).

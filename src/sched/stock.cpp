@@ -45,13 +45,9 @@ void StockHadoopScheduler::on_recovery(
   // launch_pending_block relaunches just the remainder.
   const auto& layout = ctx.layout();
   for (const auto& block : layout.blocks) {
-    bool any_free = false;
-    for (const BlockUnitId bu : block.bus) {
-      if (!ctx.index().taken(bu)) {
-        any_free = true;
-        break;
-      }
-    }
+    const bool any_free =
+        std::any_of(block.bus.begin(), block.bus.end(),
+                    [&](BlockUnitId bu) { return unit_free(ctx, bu); });
     if (!any_free) {
       block_launched_[block.id] = 1;
       --pending_count_;
@@ -69,7 +65,7 @@ std::optional<mr::MapLaunch> StockHadoopScheduler::launch_pending_block(
   auto free_units = [&](std::uint32_t block_id) {
     std::vector<BlockUnitId> bus;
     for (const BlockUnitId bu : layout.blocks[block_id].bus) {
-      if (!ctx.index().taken(bu)) bus.push_back(bu);
+      if (unit_free(ctx, bu)) bus.push_back(bu);
     }
     return bus;
   };
@@ -285,14 +281,9 @@ void StockHadoopScheduler::repend_reclaimed(
     // Any free BU re-pends the block: a preempted map may have credited a
     // consumed prefix, so the block can come back partially processed and
     // the relaunch covers just the remainder (see launch_pending_block).
-    bool any_free = false;
-    for (const BlockUnitId bu : layout.blocks[block_id].bus) {
-      if (!ctx.index().taken(bu)) {
-        any_free = true;
-        break;
-      }
-    }
-    if (any_free) {
+    const auto& bus = layout.blocks[block_id].bus;
+    if (std::any_of(bus.begin(), bus.end(),
+                    [&](BlockUnitId bu) { return unit_free(ctx, bu); })) {
       block_launched_[block_id] = 0;
       ++pending_count_;
     }

@@ -87,10 +87,6 @@ class StockHadoopScheduler : public mr::Scheduler {
                          NodeId node) override;
 
  protected:
-  /// Whether block `block_id` currently has a launched map bound to it.
-  bool block_launched(std::uint32_t block_id) const {
-    return block_launched_[block_id] != 0;
-  }
   /// Attempts rules 1–2 (pending blocks). Shared with SkewTune.
   std::optional<mr::MapLaunch> launch_pending_block(mr::DriverContext& ctx,
                                                     NodeId node);
@@ -99,11 +95,19 @@ class StockHadoopScheduler : public mr::Scheduler {
   std::optional<mr::MapLaunch> late_speculate(mr::DriverContext& ctx,
                                               NodeId node);
 
-  std::size_t pending_blocks() const { return pending_count_; }
+  /// BUs a subclass has set aside for launches of its own (SkewTune's
+  /// queued mitigation chunks), indexed by BU; empty = none. They are free
+  /// in the index but are not pending-block work: a re-pended block must
+  /// neither count them as its free remainder nor launch over them.
+  std::vector<char> reserved_;
 
  private:
-  /// Shared failure cleanup: re-pend fully-freed blocks and rewind the
-  /// scan cursors (re-pended blocks may sit behind them).
+  /// Free in the index and not reserved by a subclass.
+  bool unit_free(mr::DriverContext& ctx, BlockUnitId bu) const {
+    return !ctx.index().taken(bu) && (reserved_.empty() || !reserved_[bu]);
+  }
+  /// Shared failure cleanup: re-pend every launched block with a free BU
+  /// and rewind the scan cursors (re-pended blocks may sit behind them).
   void repend_reclaimed(mr::DriverContext& ctx,
                         const std::vector<BlockUnitId>& reclaimed);
 

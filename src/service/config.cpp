@@ -41,12 +41,9 @@ cluster::Cluster build_cluster(const Config& config) {
     cluster::MachineSpec spec;
     spec.model = config.get_string(section + ".model", section);
     spec.base_ips = config.require_double(section + ".ips");
-    spec.slots =
-        static_cast<std::uint32_t>(config.get_int(section + ".slots", 4));
+    spec.slots = config.get_count(section + ".slots", 4);
     const double slowdown = config.get_double(section + ".slowdown", 1.0);
-    builder.add(spec,
-                static_cast<std::uint32_t>(
-                    config.require_int(section + ".count")),
+    builder.add(spec, config.get_count(section + ".count", 0),
                 slowdown < 1.0 ? cluster::static_slowdown(slowdown)
                                : cluster::no_interference());
   }
@@ -88,15 +85,12 @@ mr::SharePolicy parse_share_policy(const std::string& name) {
 
 ServiceConfig parse_service_config(const Config& config) {
   ServiceConfig out;
-  out.total_jobs = static_cast<std::size_t>(
-      config.get_int("service.total_jobs", 100));
-  out.max_concurrent_jobs = static_cast<std::uint32_t>(
-      config.get_int("service.max_concurrent_jobs", 4));
+  out.total_jobs = config.get_count("service.total_jobs", 100);
+  out.max_concurrent_jobs = config.get_count("service.max_concurrent_jobs", 4);
   out.policy = parse_share_policy(
       config.get_string("service.policy", "weighted-fair"));
   out.block_size = config.get_double("service.block_mb", kDefaultBlockMiB);
-  out.replication = static_cast<std::uint32_t>(
-      config.get_int("service.replication", 3));
+  out.replication = config.get_count("service.replication", 3);
   out.params.seed =
       static_cast<std::uint64_t>(config.get_int("service.seed", 42));
   out.share_sample_period_s =
@@ -106,8 +100,8 @@ ServiceConfig parse_service_config(const Config& config) {
   out.preemption.period_s = config.get_double("preemption.period_s", 30.0);
   out.preemption.over_share_factor =
       config.get_double("preemption.over_share_factor", 1.25);
-  out.preemption.max_kills_per_round = static_cast<std::uint32_t>(
-      config.get_int("preemption.max_kills_per_round", 2));
+  out.preemption.max_kills_per_round =
+      config.get_count("preemption.max_kills_per_round", 2);
 
   for (int t = 1;; ++t) {
     const std::string section = "tenant" + std::to_string(t);
@@ -135,8 +129,7 @@ ServiceConfig parse_service_config(const Config& config) {
   out.node_failures = parse_node_failures(config);
 
   // [am] — AM-crash injection: crashN = '<job> @ <seconds after admission>'.
-  out.am_max_attempts = static_cast<std::uint32_t>(
-      config.get_int("am.max_attempts", 2));
+  out.am_max_attempts = config.get_count("am.max_attempts", 2);
   out.am_restart_delay_s = config.get_double("am.restart_delay_s", 10.0);
   for (int i = 1;; ++i) {
     const auto spec = config.get_id_at("am.crash" + std::to_string(i));

@@ -1,7 +1,7 @@
 #include "workloads/experiment.hpp"
 
 #include "common/error.hpp"
-#include "recover/runner.hpp"
+#include "obs/session.hpp"
 #include "simcore/simulator.hpp"
 
 namespace flexmr::workloads {
@@ -75,23 +75,67 @@ mr::JobResult run_job(cluster::Cluster& cluster, const Benchmark& bench,
   const auto layout =
       make_layout(bench, scale, cluster.num_nodes(), config.block_size,
                   config.replication, config.params.seed, config.storage);
-  auto spec = to_job_spec(bench, scale);
-  if (config.faults.has_am_faults()) {
-    // AM-killable runs go through the restart loop: a crashed driver is
-    // permanently done() without finishing, and only the runner can play
-    // YARN's re-launch role. Crash-free plans stay on the plain path below
-    // (byte-identical to builds without recovery code).
-    recover::RecoveryRunner runner(sim, cluster, layout, spec, config.params,
-                                   scheduler, config.faults, config.trace);
-    auto result = runner.run();
-    result.scheduler = scheduler.name();
-    return result;
-  }
-  mr::JobDriver driver(sim, cluster, layout, spec, config.params, scheduler);
-  if (config.trace != nullptr) driver.set_trace(config.trace);
-  if (!config.faults.empty()) driver.install_faults(config.faults);
-  auto result = driver.run();
+  mr::AmAttempts chain(sim, cluster, layout, to_job_spec(bench, scale),
+                       config.params, scheduler);
+  auto result = run_attempts(sim, chain, config.faults, config.trace);
   result.scheduler = scheduler.name();
+  return result;
+}
+
+mr::JobResult run_attempts(Simulator& sim, mr::AmAttempts& chain,
+                           const faults::FaultPlan& plan,
+                           obs::TraceSession* trace) {
+  if (!plan.empty()) chain.live().install_faults(plan);
+  if (plan.has_am_faults()) {
+    chain.enable_recovery({plan.am_max_attempts, plan.am_restart_delay_s});
+  }
+  if (trace != nullptr) chain.set_trace(trace);
+  chain.live().start();
+
+  // Fixed crash times kill whichever attempt is live then; a crash landing
+  // in AM downtime (or after the job finished) finds no AM to kill.
+  for (const SimTime at : plan.am_crashes) {
+    sim.schedule_at(at, [&chain]() { chain.crash(); });
+  }
+  if (plan.am_crash_mttf_s > 0.0) {
+    // AM-lifetime draws come from a stream of their own, so arming MTTF
+    // crashes never perturbs the driver/injector sequences.
+    auto rng = std::make_shared<Rng>(chain.live().params().seed ^
+                                     0x5ec0feed0a11fa17ULL);
+    auto arm = [&sim, &chain, rng, mttf = plan.am_crash_mttf_s]() {
+      const std::uint32_t attempt = chain.live().am_attempt();
+      sim.schedule_at(sim.now() + rng->exponential(mttf),
+                      [&chain, attempt]() {
+                        // The draw was this attempt's lifetime; if a fixed
+                        // crash already took it, the successor drew its own.
+                        if (chain.live().am_attempt() == attempt) {
+                          chain.crash();
+                        }
+                      });
+    };
+    arm();
+    chain.set_restart_hook(std::move(arm));
+  }
+
+  while (!chain.done()) {
+    if (!sim.step()) {
+      throw InvariantError("simulation ran dry before job completion");
+    }
+    // Pull-based sampling: never schedules events, so the event-queue
+    // counters in the golden hashes stay identical with tracing on/off.
+    if (trace != nullptr) trace->metrics().maybe_sample(sim.now());
+  }
+  mr::JobResult result = chain.result();
+  if (result.aborted) {
+    // Copy the reason out first: argument evaluation order is unspecified,
+    // so passing result.abort_reason alongside std::move(result) could bind
+    // the reference to a moved-from (empty) string.
+    const std::string reason = result.abort_reason;
+    if (!result.lost_blocks.empty()) {
+      throw mr::DataLossError(reason, std::move(result));
+    }
+    throw mr::JobAbortedError(reason, std::move(result));
+  }
   return result;
 }
 

@@ -12,7 +12,7 @@
 #include "cluster/cluster.hpp"
 #include "faults/fault_plan.hpp"
 #include "flexmap/flexmap_scheduler.hpp"
-#include "mr/driver.hpp"
+#include "mr/am_attempts.hpp"
 #include "mr/metrics.hpp"
 #include "sched/skewtune.hpp"
 #include "sched/stock.hpp"
@@ -64,6 +64,18 @@ struct RunConfig {
 mr::JobResult run_job(cluster::Cluster& cluster, const Benchmark& bench,
                       InputScale scale, mr::Scheduler& scheduler,
                       const RunConfig& config);
+
+/// Runs a single job's AM-attempt chain to completion: installs `plan`
+/// (and, when it can kill the AM, the journal and restart budget) and the
+/// optional trace, starts attempt 1, kills the live AM at the plan's fixed
+/// crash times and on one exponential(am_crash_mttf_s) lifetime draw per
+/// attempt, and steps `sim` until the job finishes. Returns the merged
+/// result; throws JobAbortedError (DataLossError on unrecoverable input
+/// loss) when the job aborts. run_job's core, callable directly to inspect
+/// the chain (its journal) afterwards.
+mr::JobResult run_attempts(Simulator& sim, mr::AmAttempts& chain,
+                           const faults::FaultPlan& plan,
+                           obs::TraceSession* trace = nullptr);
 
 /// Convenience: builds the scheduler from `kind` and runs.
 mr::JobResult run_job(cluster::Cluster& cluster, const Benchmark& bench,

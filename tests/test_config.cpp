@@ -128,6 +128,43 @@ TEST(Config, ServiceIdAtSpecsRejectGarbage) {
   EXPECT_DOUBLE_EQ(good.am_crashes[0].second, 20.0);
 }
 
+TEST(Config, CountsParseWholeNonNegativeIntegers) {
+  const auto config = Config::parse("a = 3\nb =  0 \nc = 4294967295\n");
+  EXPECT_EQ(config.get_count("a", 9), 3u);
+  EXPECT_EQ(config.get_count("b", 9), 0u);
+  EXPECT_EQ(config.get_count("c", 9), 4294967295u);
+  EXPECT_EQ(config.get_count("missing", 9), 9u);
+  for (const char* bad : {"-1", "+3", "3x", "2.5", "", "4294967296"}) {
+    const auto parsed = Config::parse(std::string("k = ") + bad + "\n");
+    EXPECT_THROW(parsed.get_count("k", 0), ConfigError) << bad;
+  }
+}
+
+// Counts used to go through static_cast<uint...>(get_int(...)): "-1"
+// wrapped around to 4294967295 attempts or SIZE_MAX jobs. Every count key
+// of the service and cluster files now rejects it, naming the key.
+TEST(Config, NegativeCountsAreRejectedByName) {
+  for (const std::string key :
+       {"[am]\nmax_attempts", "[service]\ntotal_jobs",
+        "[service]\nmax_concurrent_jobs", "[service]\nreplication",
+        "[preemption]\nmax_kills_per_round"}) {
+    const auto config = Config::parse(key + " = -1\n");
+    const std::string name = key.substr(key.find(']') + 2);
+    try {
+      service::parse_service_config(config);
+      ADD_FAILURE() << key << " = -1 was accepted";
+    } catch (const ConfigError& error) {
+      EXPECT_NE(std::string(error.what()).find(name), std::string::npos)
+          << error.what();
+    }
+  }
+  for (const char* key : {"count", "slots"}) {
+    const auto config = Config::parse(
+        std::string("[group1]\nips = 10\ncount = 2\n") + key + " = -1\n");
+    EXPECT_THROW(service::build_cluster(config), ConfigError) << key;
+  }
+}
+
 TEST(Config, LastDuplicateWins) {
   const auto config = Config::parse("k = 1\nk = 2\n");
   EXPECT_EQ(config.get_int("k", 0), 2);

@@ -177,8 +177,8 @@ TEST(DriverIntegration, DriverDestructionRemovesItsSpeedListeners) {
     auto scheduler =
         workloads::make_scheduler(SchedulerKind::kFlexMap, params.seed);
     cluster.reset();
-    mr::JobDriver driver(sim, cluster, layout, spec, params, *scheduler);
-    const auto result = driver.run();
+    mr::AmAttempts job(sim, cluster, layout, spec, params, *scheduler);
+    const auto result = workloads::run_attempts(sim, job, {});
     EXPECT_GT(result.jct(), 0.0);
     for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
       EXPECT_GE(cluster.machine(n).num_speed_listeners(), 1u);

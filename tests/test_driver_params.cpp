@@ -95,9 +95,8 @@ TEST(SimParams, ExplicitReducerCountWins) {
   auto spec = workloads::to_job_spec(bench, InputScale::kSmall, 7);
   const auto scheduler =
       workloads::make_scheduler(SchedulerKind::kHadoopNoSpec);
-  mr::JobDriver driver(sim, cluster, layout, spec, mr::SimParams{},
-                       *scheduler);
-  const auto result = driver.run();
+  mr::AmAttempts job(sim, cluster, layout, spec, mr::SimParams{}, *scheduler);
+  const auto result = workloads::run_attempts(sim, job, {});
   EXPECT_EQ(result.count(mr::TaskKind::kReduce, mr::TaskStatus::kCompleted),
             7u);
 }

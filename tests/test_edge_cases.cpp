@@ -151,9 +151,8 @@ TEST(EdgeCases, ManyMoreReducersThanSlots) {
   auto spec = workloads::to_job_spec(bench, InputScale::kSmall, 100);
   const auto scheduler =
       workloads::make_scheduler(SchedulerKind::kHadoopNoSpec);
-  mr::JobDriver driver(sim, cluster, layout, spec, mr::SimParams{},
-                       *scheduler);
-  const auto result = driver.run();
+  mr::AmAttempts job(sim, cluster, layout, spec, mr::SimParams{}, *scheduler);
+  const auto result = workloads::run_attempts(sim, job, {});
   // 100 reducers on 24 slots: multiple reduce waves, all complete.
   EXPECT_EQ(result.count(mr::TaskKind::kReduce, mr::TaskStatus::kCompleted),
             100u);

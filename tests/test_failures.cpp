@@ -170,10 +170,9 @@ TEST(Failures, SchedulingAfterRunStartThrows) {
                                      InputScale::kSmall);
   const auto scheduler =
       workloads::make_scheduler(SchedulerKind::kHadoopNoSpec);
-  mr::JobDriver driver(sim, cluster, layout, spec, mr::SimParams{},
-                       *scheduler);
-  driver.run();
-  EXPECT_THROW(driver.install_faults(oracle_crashes({{0, 1e9}})),
+  mr::AmAttempts job(sim, cluster, layout, spec, mr::SimParams{}, *scheduler);
+  workloads::run_attempts(sim, job, {});
+  EXPECT_THROW(job.live().install_faults(oracle_crashes({{0, 1e9}})),
                InvariantError);
 }
 

@@ -282,6 +282,35 @@ INSTANTIATE_TEST_SUITE_P(
                       SchedulerKind::kSkewTune, SchedulerKind::kFlexMap),
     sweep_param_name);
 
+// SkewTune under launch and attempt failures on the paper's 20-node
+// cluster. Queued mitigation chunks hold BUs that are free in the index; a
+// failure that re-pends the same block must not launch over them (the
+// chunk's later launch would take already-taken units).
+TEST(Faults, SkewTuneChunksSurviveFailuresThatRependTheirBlock) {
+  struct Case {
+    MiB block_size;
+    double launch_failure_prob;
+    double attempt_failure_prob;
+  };
+  const auto bench = workloads::benchmark("WC");
+  for (const Case c : {Case{64.0, 0.05, 0.0}, Case{64.0, 0.10, 0.0},
+                       Case{128.0, 0.05, 0.05}}) {
+    auto cluster = cluster::presets::virtual20();
+    RunConfig config;
+    config.params.seed = 1234;
+    config.block_size = c.block_size;
+    config.faults.container_launch_failure_prob = c.launch_failure_prob;
+    config.faults.attempt_failure_prob = c.attempt_failure_prob;
+    const auto result =
+        workloads::run_job(cluster, bench, InputScale::kSmall,
+                           SchedulerKind::kSkewTune, config);
+    EXPECT_FALSE(result.aborted) << c.block_size;
+    check_exactly_once(result, static_cast<std::size_t>(
+                                   bench.small_input / kBlockUnitMiB));
+    EXPECT_GT(count_events(result, FaultEventType::kLaunchFailure), 0u);
+  }
+}
+
 TEST(Faults, RejoinBeforeDetectionStillResyncsState) {
   // The node dies silently and comes back before the liveness timeout
   // expires: the rejoin itself must surface the death (lost in-flight

@@ -4,6 +4,7 @@
 
 #include "cluster/presets.hpp"
 #include "mr/multi_job.hpp"
+#include "obs/session.hpp"
 #include "workloads/experiment.hpp"
 
 namespace flexmr::mr {
@@ -264,6 +265,42 @@ TEST(MultiJob, SubmitWhileRunningAndSaturated) {
   check_exactly_once(coordinator.driver(1).result(), 64);
   for (const auto& task : coordinator.driver(1).result().tasks) {
     EXPECT_GE(task.dispatch_time, submit_time);
+  }
+}
+
+// A traced batch whose jobs start after metrics sampling began (the first
+// preemption pass at t=5 s emits the first rows; the jobs arrive at 10 s
+// and 30 s, as in the service): the coordinator registers every driver
+// instrument up front, so the late jobs find the column layout complete
+// instead of tripping "register instruments before sampling starts".
+TEST(MultiJob, TracedLateSubmissionKeepsTheMetricsLayout) {
+  Fixture f;
+  MultiJobCoordinator coordinator(f.sim, f.cluster, SharePolicy::kFair);
+  PreemptionConfig preemption;
+  preemption.enabled = true;
+  preemption.period_s = 5.0;
+  coordinator.set_preemption(preemption);
+  const auto layout1 = f.make_layout(2048.0, 1);
+  const auto layout2 = f.make_layout(1024.0, 2);
+  auto sched1 = workloads::make_scheduler(workloads::SchedulerKind::kHadoop);
+  auto sched2 = workloads::make_scheduler(workloads::SchedulerKind::kFlexMap);
+  coordinator.submit(layout1, f.wc_spec(2048.0, 0.25), SimParams{}, *sched1,
+                     10.0);
+  coordinator.submit(layout2, f.wc_spec(1024.0, 0.25), SimParams{}, *sched2,
+                     30.0);
+  obs::TraceSession trace;
+  coordinator.set_trace(&trace);
+  const auto results = coordinator.run_all();
+  ASSERT_EQ(results.size(), 2u);
+  check_exactly_once(results[0], 256);
+  check_exactly_once(results[1], 128);
+  EXPECT_GT(trace.metrics().num_rows(), 30u);
+  const std::string header =
+      trace.metrics_csv().substr(0, trace.metrics_csv().find('\n'));
+  for (const char* column :
+       {"maps_dispatched", "degraded_reads", "parts_reconstructed",
+        "preemptions", "active_jobs"}) {
+    EXPECT_NE(header.find(column), std::string::npos) << column;
   }
 }
 

@@ -20,9 +20,10 @@
 #include <vector>
 
 #include "cluster/presets.hpp"
+#include "golden_cases.hpp"
 #include "mr/multi_job.hpp"
 #include "mr/result_json.hpp"
-#include "recover/runner.hpp"
+#include "obs/session.hpp"
 #include "service/service.hpp"
 #include "workloads/experiment.hpp"
 
@@ -33,15 +34,6 @@ using faults::FaultPlan;
 using workloads::InputScale;
 using workloads::RunConfig;
 using workloads::SchedulerKind;
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const unsigned char c : s) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
 
 workloads::Benchmark bench_with(MiB input, double shuffle) {
   auto bench = workloads::benchmark("WC");
@@ -297,13 +289,13 @@ TEST(Recovery, JournalRecordsAndSnapshotsAreInspectable) {
   FaultPlan plan;
   plan.am_crashes = {10.0};
   plan.am_snapshot_interval_s = 5.0;
-  recover::RecoveryRunner runner(sim, cluster, layout, spec, mr::SimParams{},
-                                 *scheduler, plan);
-  const auto result = runner.run();
+  mr::AmAttempts chain(sim, cluster, layout, spec, mr::SimParams{},
+                       *scheduler);
+  const auto result = workloads::run_attempts(sim, chain, plan);
   EXPECT_FALSE(result.aborted);
-  EXPECT_EQ(runner.attempts_started(), 2u);
+  EXPECT_EQ(chain.attempts_started(), 2u);
 
-  const recover::JobJournal& journal = runner.journal();
+  const recover::JobJournal& journal = chain.journal();
   EXPECT_GT(journal.total_appends(), 0u);
   EXPECT_GT(journal.snapshots_taken(), 0u);
   const std::string json = journal.to_json();
@@ -421,7 +413,6 @@ TEST(Recovery, ServiceSurvivesAmLossDeterministically) {
 // cluster. Regenerate with FLEXMR_REGEN_GOLDEN=1 after intentional
 // changes (same contract as test_golden_determinism.cpp).
 TEST(Recovery, MidMapAmCrashGolden) {
-  constexpr std::uint64_t kExpected = 0xc4fd10a581aa81e8ull;
   auto cluster = cluster::presets::virtual20();
   RunConfig config;
   config.params.seed = 1234;
@@ -434,13 +425,116 @@ TEST(Recovery, MidMapAmCrashGolden) {
   // Mid-map: some but not all of the map phase had committed at t=40.
   EXPECT_GT(result.am_attempts[0].replayed_units, 0u);
   EXPECT_LT(result.am_attempts[0].replayed_units, credited_bus(result));
-  const std::uint64_t hash = fnv1a(mr::job_result_json(result, cluster));
+  const std::uint64_t hash =
+      golden::fnv1a(mr::job_result_json(result, cluster));
   if (std::getenv("FLEXMR_REGEN_GOLDEN") != nullptr) {
     std::printf("    MidMapAmCrashGolden: 0x%016llxull\n",
                 static_cast<unsigned long long>(hash));
-    FAIL() << "FLEXMR_REGEN_GOLDEN set: update kExpected and re-run";
+    FAIL() << "FLEXMR_REGEN_GOLDEN set: update "
+              "golden::kMidMapAmCrashGolden and re-run";
   }
-  EXPECT_EQ(hash, kExpected);
+  EXPECT_EQ(hash, golden::kMidMapAmCrashGolden);
+}
+
+// The job gauges follow the live AM attempt: after the restart the
+// successor's running maps show up in the time series instead of the
+// crashed attempt's frozen zero.
+TEST(Recovery, TracedGaugesFollowTheLiveAttempt) {
+  auto cluster = cluster::presets::virtual20();
+  obs::TraceSession trace;
+  RunConfig config;
+  config.params.seed = 1234;
+  config.faults.am_crashes = {40.0};
+  config.trace = &trace;
+  const auto result =
+      workloads::run_job(cluster, workloads::benchmark("WC"),
+                         InputScale::kSmall, SchedulerKind::kHadoop, config);
+  ASSERT_EQ(result.am_attempts.size(), 1u);
+  const SimTime restart = result.am_attempts[0].restart_time;
+
+  // Column index of running_maps in the metrics CSV header.
+  const std::string csv = trace.metrics_csv();
+  std::size_t line_end = csv.find('\n');
+  const std::string header = csv.substr(0, line_end);
+  std::size_t column = 0;
+  for (std::size_t at = 0; at < header.find("running_maps"); ++at) {
+    if (header[at] == ',') ++column;
+  }
+  ASSERT_NE(header.find("running_maps"), std::string::npos);
+
+  std::size_t rows_after = 0;
+  double peak_after = 0;
+  while (line_end + 1 < csv.size()) {
+    const std::size_t next = csv.find('\n', line_end + 1);
+    const std::string row = csv.substr(line_end + 1, next - line_end - 1);
+    line_end = next == std::string::npos ? csv.size() : next;
+    std::vector<std::string> cells(1);
+    for (const char c : row) {
+      if (c == ',') {
+        cells.emplace_back();
+      } else {
+        cells.back() += c;
+      }
+    }
+    ASSERT_GT(cells.size(), column);
+    if (std::stod(cells[0]) <= restart) continue;
+    ++rows_after;
+    peak_after = std::max(peak_after, std::stod(cells[column]));
+  }
+  EXPECT_GT(rows_after, 0u);
+  EXPECT_GT(peak_after, 0.0);
+}
+
+// An exhausted AM budget reads the same on both paths: the coordinator's
+// job carries the kAbort event (attempts == am_max_attempts) and the
+// simulator counters that a single-job budget abort records.
+TEST(Recovery, CoordinatorBudgetAbortMatchesTheSingleJobRecord) {
+  auto abort_events = [](const mr::JobResult& result) {
+    std::vector<faults::FaultEvent> aborts;
+    for (const auto& ev : result.fault_events) {
+      if (ev.type == faults::FaultEventType::kAbort) aborts.push_back(ev);
+    }
+    return aborts;
+  };
+
+  FaultPlan plan;
+  plan.am_crashes = {8.0, 20.0};
+  plan.am_max_attempts = 2;
+  mr::JobResult single;
+  try {
+    run_case(SchedulerKind::kHadoop, plan);
+    FAIL() << "expected JobAbortedError";
+  } catch (const mr::JobAbortedError& e) {
+    single = e.result();
+  }
+
+  auto cluster = cluster::presets::homogeneous6();
+  Simulator sim;
+  const auto bench = bench_with(1024.0, 0.25);
+  const auto layout = workloads::make_layout(
+      bench, InputScale::kSmall, cluster.num_nodes(), 64.0, 3, 7);
+  auto spec = workloads::to_job_spec(bench, InputScale::kSmall);
+  const auto sched_a = workloads::make_scheduler(SchedulerKind::kHadoop);
+  const auto sched_b = workloads::make_scheduler(SchedulerKind::kHadoop);
+  mr::MultiJobCoordinator coord(sim, cluster, mr::SharePolicy::kFair);
+  coord.submit(layout, spec, mr::SimParams{}, *sched_a, 0.0);
+  coord.submit(layout, spec, mr::SimParams{}, *sched_b, 0.0);
+  coord.set_am_recovery({2, 10.0});
+  coord.schedule_am_crash(0, 8.0);
+  coord.schedule_am_crash(0, 20.0);
+  mr::JobResult shared = coord.run_all()[0];
+
+  for (const mr::JobResult* result : {&single, &shared}) {
+    EXPECT_TRUE(result->aborted);
+    EXPECT_EQ(result->abort_reason,
+              "AM crashed on attempt 2 of 2 (am_max_attempts exhausted)");
+    const auto aborts = abort_events(*result);
+    ASSERT_EQ(aborts.size(), 1u);
+    EXPECT_EQ(aborts[0].attempts, 2u);
+    EXPECT_DOUBLE_EQ(aborts[0].time, 20.0);
+    EXPECT_GT(result->sim_events_fired, 0u);
+    EXPECT_GT(result->sim_queue_peak, 0u);
+  }
 }
 
 }  // namespace

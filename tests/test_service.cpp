@@ -17,19 +17,11 @@
 
 #include "cluster/presets.hpp"
 #include "common/error.hpp"
+#include "golden_cases.hpp"
 #include "service/service.hpp"
 
 namespace flexmr::service {
 namespace {
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const unsigned char c : s) {
-    hash ^= c;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
 
 /// Three tenants with distinct weights, rates, benchmark mixes and per-job
 /// schedulers (a FlexMap tenant beside a stock-Hadoop one).
@@ -148,7 +140,7 @@ TEST(Service, GoldenOpenArrivalHash) {
   const ServiceResult result = run_service(config);
   EXPECT_EQ(result.jobs.size(), 100u);
 
-  const std::uint64_t hash = fnv1a(result.json());
+  const std::uint64_t hash = golden::fnv1a(result.json());
   if (std::getenv("FLEXMR_REGEN_GOLDEN") != nullptr) {
     std::printf("service golden: 0x%016llxull\n",
                 static_cast<unsigned long long>(hash));
