@@ -79,12 +79,9 @@ AmAttempts::AmAttempts(Simulator& sim, cluster::Cluster& cluster,
       cluster_(&cluster),
       scheduler_(&scheduler),
       owns_rm_(shared_rm == nullptr) {
-  if (!owns_rm_) {
-    attempts_.push_back(std::make_unique<JobDriver>(
-        sim, cluster, layout, std::move(job), params, scheduler, *shared_rm));
-  } else {
-    attempts_.push_back(std::make_unique<JobDriver>(
-        sim, cluster, layout, std::move(job), params, scheduler));
+  attempts_.push_back(std::make_unique<JobDriver>(
+      sim, cluster, layout, std::move(job), params, scheduler, shared_rm));
+  if (owns_rm_) {
     // YARN outlives the application attempt: the RM keeps offering to
     // whichever attempt is registered now.
     attempts_.front()->resource_manager().set_offer_handler(
@@ -135,7 +132,7 @@ void AmAttempts::restart() {
   // Every successor allocates from the surviving RM.
   auto next = std::make_unique<JobDriver>(
       *sim_, *cluster_, live_->layout(), live_->job(), live_->params(),
-      *scheduler_, attempts_.front()->resource_manager());
+      *scheduler_, &attempts_.front()->resource_manager());
   const std::uint32_t attempt_no = baton.next_attempt;
   next->adopt_recovery(std::move(baton));
   if (trace_ != nullptr) {
