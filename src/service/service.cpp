@@ -225,7 +225,10 @@ void ClusterService::poll_completions() {
     freed = true;
     active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(i));
   }
-  if (freed) try_admit();
+  if (freed) {
+    coord_.check_containers();
+    try_admit();
+  }
 }
 
 void ClusterService::sample_shares() {

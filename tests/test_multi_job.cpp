@@ -131,6 +131,9 @@ TEST(MultiJob, LateJobUsesSlotsFreedByEarlyJobsReducePhase) {
   // Job 2's map phase overlaps job 1's reduce phase.
   EXPECT_LT(results[1].map_phase_start, results[0].finish_time);
   check_exactly_once(results[1], 128);
+  // Job 1's last reducer hands its container back to the shared RM too.
+  EXPECT_EQ(coordinator.resource_manager().total_free(),
+            coordinator.resource_manager().total_slots());
 }
 
 TEST(MultiJob, NodeFailureAffectsEveryJob) {

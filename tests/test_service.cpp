@@ -132,10 +132,26 @@ TEST(Service, DeterministicAcrossRuns) {
   EXPECT_EQ(first, second);
 }
 
+// A stream longer than the cluster has slots (313 jobs on multitenant40's
+// 312) only finishes when every finished job returns all its containers;
+// afterwards the whole cluster is free again.
+TEST(Service, LongStreamReturnsEveryContainer) {
+  auto cluster = cluster::presets::multitenant40(0.0);
+  Simulator sim;
+  ClusterService svc(sim, cluster, three_tenants(7, 313));
+  const ServiceResult result = svc.run();
+  EXPECT_EQ(result.jobs.size(), 313u);
+  const auto& rm = svc.coordinator().resource_manager();
+  EXPECT_EQ(rm.total_slots(), 312u);
+  EXPECT_EQ(rm.total_free(), rm.total_slots());
+}
+
 TEST(Service, GoldenOpenArrivalHash) {
   // Tentpole acceptance: a seeded open-arrival run of 100 jobs across the
   // three tenants completes, and its result JSON hashes to a pinned value.
-  constexpr std::uint64_t kGolden = 0xda26d26fd86e7391ull;
+  // Regenerated when finished jobs started returning their last reducer's
+  // container to the shared RM (the old run leaked one slot per job).
+  constexpr std::uint64_t kGolden = 0x9b3a2e9a6f191546ull;
   const auto config = three_tenants(42, 100);
   const ServiceResult result = run_service(config);
   EXPECT_EQ(result.jobs.size(), 100u);
