@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -535,6 +536,71 @@ TEST(Recovery, CoordinatorBudgetAbortMatchesTheSingleJobRecord) {
     EXPECT_GT(result->sim_events_fired, 0u);
     EXPECT_GT(result->sim_queue_peak, 0u);
   }
+}
+
+// Every path that moves credit in one shared-cluster run: preemption and
+// SkewTune's reclaim credit consumed prefixes (partial credit), an AM crash
+// replays the journal, and a node failure before the reduce phase loses
+// credited map outputs. Each job still credits exactly its input, and the
+// coordinator's container-conservation check holds at every job finish.
+TEST(Recovery, ComposedBatchCreditsEveryInputExactlyOnce) {
+  auto cluster = cluster::presets::homogeneous6();
+  Simulator sim;
+  mr::MultiJobCoordinator coord(sim, cluster, mr::SharePolicy::kWeightedFair);
+  mr::PreemptionConfig preemption;
+  preemption.enabled = true;
+  preemption.period_s = 5.0;
+  preemption.over_share_factor = 1.05;
+  preemption.max_kills_per_round = 4;
+  coord.set_preemption(preemption);
+
+  struct Job {
+    SchedulerKind kind;
+    MiB input;
+    SimTime submit;
+    double weight;
+  };
+  const Job jobs[] = {{SchedulerKind::kFlexMap, 4096.0, 0.0, 1.0},
+                      {SchedulerKind::kSkewTune, 2048.0, 10.0, 2.0},
+                      {SchedulerKind::kHadoop, 2048.0, 20.0, 3.0}};
+  std::vector<hdfs::FileLayout> layouts;
+  std::vector<std::unique_ptr<mr::Scheduler>> schedulers;
+  layouts.reserve(3);
+  for (std::size_t j = 0; j < 3; ++j) {
+    const auto bench = bench_with(jobs[j].input, 0.25);
+    layouts.push_back(workloads::make_layout(
+        bench, InputScale::kSmall, cluster.num_nodes(), 64.0, 3, 11 + j));
+    schedulers.push_back(workloads::make_scheduler(jobs[j].kind));
+    coord.submit(layouts[j], workloads::to_job_spec(bench, InputScale::kSmall),
+                 mr::SimParams{}, *schedulers[j], jobs[j].submit,
+                 jobs[j].weight);
+  }
+  coord.set_am_recovery({2, 10.0});
+  coord.schedule_am_crash(1, 35.0);
+  coord.schedule_node_failure(4, 45.0);
+  const auto results = coord.run_all();
+
+  EXPECT_GT(coord.preemption_kills(), 0u);
+  std::size_t partial = 0;
+  std::size_t lost = 0;
+  for (std::size_t j = 0; j < 3; ++j) {
+    const mr::JobResult& result = results[j];
+    ASSERT_FALSE(result.aborted) << result.abort_reason;
+    EXPECT_EQ(credited_bus(result), layouts[j].bus.size()) << "job " << j;
+    for (const auto& task : result.tasks) {
+      if (task.status == mr::TaskStatus::kPartialCompleted) ++partial;
+      if (task.status == mr::TaskStatus::kLostOutput) ++lost;
+    }
+  }
+  EXPECT_GT(partial, 0u);
+  EXPECT_GT(lost, 0u);
+  EXPECT_EQ(results[1].am_restarts, 1u);
+  ASSERT_EQ(results[1].am_attempts.size(), 1u);
+  EXPECT_GT(results[1].am_attempts[0].replayed_units, 0u);
+  // Every job finished: the whole cluster is free again.
+  coord.check_containers();
+  const auto& rm = coord.resource_manager();
+  EXPECT_EQ(rm.total_free(), rm.total_slots());
 }
 
 }  // namespace
